@@ -29,8 +29,6 @@ from .objectives import (
     ModularObjective,
     RRSetCollection,
     WeightedGraph,
-    cut_value,
-    marketing_value,
     rr_estimate,
 )
 from .generators import (

@@ -78,7 +78,7 @@ class InequalityRecord:
 def classify(log: InsertionLog, optimal: int, constraint) -> ClassifiedOptimal:
     """Assign each optimal element to its class given a finished run's log."""
     s1, s2 = log.replay()
-    pre = {ent.element: masks for ent, masks in zip(log.entries, log.pre_masks())}
+    pre = log.pre_masks()
     cls = ClassifiedOptimal()
     for e in members(optimal & s1):
         if constraint.is_independent(pre[e][1] | (1 << e)):
@@ -166,7 +166,7 @@ def check_pi_properties(log: InsertionLog, classes: ClassifiedOptimal, pi: PiMap
     """Verify domain coverage, feasibility at the target's moment, identity
     on the prescribed subsets, and the preimage cap."""
     s1, s2 = log.replay()
-    pre = {ent.element: masks for ent, masks in zip(log.entries, log.pre_masks())}
+    pre = log.pre_masks()
     results = []
     for side, mapping, pool, identity, side_mask, pre_idx in (
         (1, pi.pi1, classes.o1_plus | classes.o1_minus | classes.o2_minus | classes.o3,
@@ -246,9 +246,10 @@ def check_residuals(f: ValueOracle, log: InsertionLog, classes: ClassifiedOptima
 def check_log_gains(f: ValueOracle, log: InsertionLog, tol: float = 1e-9, _val=None):
     """Replay every insertion and compare the recorded gain."""
     val = _val or (lambda mask: f.evaluate(mask))
+    pre = log.pre_masks()
     worst = 0.0
-    for ent, (pre1, pre2) in zip(log.entries, log.pre_masks()):
-        base = pre1 if ent.side == 1 else pre2
+    for ent in log.entries:
+        base = pre[ent.element][ent.side - 1]
         recomputed = val(base | (1 << ent.element)) - val(base)
         worst = max(worst, abs(recomputed - ent.gain))
     return InequalityRecord("log_gain_replay", worst, 0.0, worst <= tol)

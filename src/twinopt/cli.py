@@ -15,21 +15,13 @@ import hashlib
 import json
 import os
 import sys
-import time
 
 from . import certify as certify_mod
 from . import constraints as cons
 from . import generators as gen
 from . import objectives as obj
-from .core import GroundSet, members
-from .solvers import (
-    SolverParams,
-    classic_greedy,
-    exact_max,
-    sample_greedy,
-    twin_greedy,
-    twin_greedy_fast,
-)
+from .core import ContractViolation, GroundSet, ParameterError
+from .solvers import SolverParams, exact_max, solve
 
 CSV_HEADER = ["algo", "axis", "rep", "utility", "value_queries",
               "independence_checks", "wall_time_s", "solution_size"]
@@ -170,43 +162,6 @@ def build_objective(args):
     raise UsageError(f"unknown objective {args.objective!r}")
 
 
-def _run_algorithm(algo, oracle, constraint, ground, epsilon, q, seed):
-    if algo == "twin":
-        return twin_greedy(oracle, constraint, ground)
-    if algo == "twinfast":
-        if epsilon is None:
-            raise UsageError("twinfast needs --epsilon")
-        return twin_greedy_fast(oracle, constraint, ground, epsilon)
-    if algo == "samplegreedy":
-        return sample_greedy(oracle, constraint, ground, q=q, seed=seed)
-    if algo == "greedy":
-        return classic_greedy(oracle, constraint, ground)
-    raise UsageError(f"unknown algorithm {algo!r}")
-
-
-def _exact_report_dict(oracle, constraint, ground, include_timing):
-    t0 = time.perf_counter()
-    f_empty = oracle.evaluate(0)
-    res = exact_max(oracle, constraint, ground)
-    elapsed = time.perf_counter() - t0
-    return {
-        "algorithm": "exact",
-        "n": ground.n,
-        "parameters": {},
-        "s1": members(res.solution),
-        "s2": [],
-        "s_star": members(res.solution),
-        "f_s1": res.value,
-        "f_s2": f_empty,
-        "f_star": res.value,
-        "solution_size": res.solution.bit_count(),
-        "value_queries": oracle.query_count,
-        "independence_checks": constraint.check_count,
-        "wall_time_s": elapsed if include_timing else 0.0,
-        "log": [],
-    }
-
-
 def _csv_row(algo, axis, rep, report_dict):
     return [algo, axis, rep, repr(report_dict["f_star"]), report_dict["value_queries"],
             report_dict["independence_checks"], repr(report_dict["wall_time_s"]),
@@ -283,14 +238,9 @@ def cmd_run(args) -> int:
     seed = _master_seed(args.seed)
     factory, ground, hashes = build_objective(args)
     constraint = parse_constraint_spec(args.constraint, ground.n)
-    include_timing = not args.no_timing
-    oracle = factory()
-    if args.algo == "exact":
-        payload = _exact_report_dict(oracle, constraint, ground, include_timing)
-    else:
-        report = _run_algorithm(args.algo, oracle, constraint, ground,
-                                args.epsilon, args.q, seed)
-        payload = report.to_dict(include_timing=include_timing)
+    report = solve(args.algo, factory(), constraint, ground,
+                   SolverParams(epsilon=args.epsilon, q=args.q, seed=seed))
+    payload = report.to_dict(include_timing=not args.no_timing)
     payload["invocation"] = {
         "algo": args.algo, "objective": args.objective, "constraint": args.constraint,
         "epsilon": args.epsilon, "q": args.q, "seed": seed,
@@ -310,9 +260,8 @@ def _sweep_cell(task):
     graph = obj.load_edge_list(task["graph"], directed=False)
     ground = GroundSet(graph.n_nodes)
     constraint = parse_constraint_spec(task["constraint"], ground.n)
-    oracle = obj.CutMonitorObjective(graph)
-    report = _run_algorithm(task["algo"], oracle, constraint, ground,
-                            task["epsilon"], task["q"], task["seed"])
+    report = solve(task["algo"], obj.CutMonitorObjective(graph), constraint, ground,
+                   SolverParams(epsilon=task["epsilon"], q=task["q"], seed=task["seed"]))
     payload = report.to_dict(include_timing=task["timing"])
     return _csv_row(task["algo"], task["axis"], task["rep"], payload)
 
@@ -443,10 +392,7 @@ def cmd_certify(args) -> int:
         for algo in algos:
             oracle = obj.CutMonitorObjective(graph)
             constraint = fresh_constraint()
-            if algo == "twin":
-                report = twin_greedy(oracle, constraint, ground)
-            else:
-                report = twin_greedy_fast(oracle, constraint, ground, args.epsilon)
+            report = solve(algo, oracle, constraint, ground, SolverParams(epsilon=args.epsilon))
             try:
                 cert = certify_mod.certify_run(oracle, constraint, report,
                                                optimum.solution, optimum.value, p=p)
@@ -563,7 +509,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ParameterError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:

@@ -139,17 +139,11 @@ def rank(constraint: IndependenceOracle, ground: GroundSet) -> int:
     the size of one particular base, which is within a factor p of any
     other base; that is the quantity the thresholded solver needs.
     """
-    state = constraint.empty_state()
-    size = 0
-    for e in ground.elements():
-        if constraint.can_add(state, e):
-            state = constraint.add(state, e)
-            size += 1
-    return size
+    return greedy_base_size(constraint, ground.elements())
 
 
 def greedy_base_size(constraint: IndependenceOracle, order) -> int:
-    """Greedy base size for an explicit insertion order (test helper)."""
+    """Greedy base size for an explicit insertion order."""
     state = constraint.empty_state()
     size = 0
     for e in order:

@@ -187,24 +187,18 @@ class InsertionLog:
                 s2 |= 1 << ent.element
         return s1, s2
 
-    def pre_masks(self) -> list[tuple[int, int]]:
-        """Per entry, the (side-1, side-2) masks as they were just before it."""
-        out = []
+    def pre_masks(self) -> dict[int, tuple[int, int]]:
+        """Per inserted element, in insertion order, the (side-1, side-2)
+        prefixes in place just before it was inserted."""
+        out = {}
         s1 = s2 = 0
         for ent in self.entries:
-            out.append((s1, s2))
+            out[ent.element] = (s1, s2)
             if ent.side == 1:
                 s1 |= 1 << ent.element
             else:
                 s2 |= 1 << ent.element
         return out
-
-    def pre(self, element: int) -> tuple[int, int]:
-        """The (side-1, side-2) prefixes in place when `element` was inserted."""
-        for ent, masks in zip(self.entries, self.pre_masks()):
-            if ent.element == element:
-                return masks
-        raise KeyError(f"element {element} was never inserted")
 
     def side_elements(self, side: int) -> list[int]:
         """Elements of one side in insertion order."""

@@ -75,7 +75,7 @@ def load_edge_list(path, directed: bool | None = None) -> WeightedGraph:
     header_directed = False
     edges = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -86,8 +86,12 @@ def load_edge_list(path, directed: bool | None = None) -> WeightedGraph:
                 if "directed" in fields:
                     header_directed = bool(int(fields[fields.index("directed") + 1]))
                 continue
-            u, v, w = line.split()
-            edges.append((int(u), int(v), float(w)))
+            try:
+                u, v, w = line.split()
+                edges.append((int(u), int(v), float(w)))
+            except ValueError:
+                raise ContractViolation(
+                    f"{path}:{lineno}: expected 'u v w', got {line!r}") from None
     if edges:
         n_nodes = max(n_nodes, 1 + max(max(u, v) for u, v, _ in edges))
     g = WeightedGraph(n_nodes, edges, directed=header_directed if directed is None else directed)
@@ -137,11 +141,6 @@ class CutMonitorObjective(ValueOracle):
                 if not (mask >> v) & 1:
                     total += w
         return total
-
-
-def cut_value(obj: CutMonitorObjective, mask: int) -> float:
-    """Evaluate the monitoring objective (counts one query)."""
-    return obj.evaluate(mask)
 
 
 @dataclass
@@ -252,11 +251,6 @@ class MarketingObjective(ValueOracle):
             if per_product[i]
         )
         return spread + (self.budget - cost)
-
-
-def marketing_value(obj: MarketingObjective, mask: int) -> float:
-    """Evaluate the marketing objective (counts one query)."""
-    return obj.evaluate(mask)
 
 
 class ModularObjective(ValueOracle):

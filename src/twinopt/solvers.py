@@ -1,8 +1,9 @@
 """Twin-set greedy solvers, the thresholded variant, and baselines.
 
 All solvers follow the same reporting contract: they own their value
-caches (the oracle caches nothing), count their own oracle traffic, and
-emit a RunReport whose insertion log suffices to replay the run.
+caches (the oracle caches nothing), report the oracle's and the
+constraint's counter deltas over the run, and emit a RunReport whose
+insertion log suffices to replay the run.
 
 The two twin-set solvers use lazy marginal evaluation: cached gains are
 upper bounds because a side only grows and gains only shrink under
@@ -50,10 +51,15 @@ class SolverParams:
     epsilon: float | None = None  # threshold decay (thresholded solver)
     q: float = 0.5  # inclusion probability (sampled baseline)
     seed: int | None = None  # rng seed for randomized baselines
-    tie_break: str = TIE_BREAK
 
 
-def _report(algorithm, ground, parameters, s, fval, log, queries, checks, t0) -> RunReport:
+def _start(f: ValueOracle, constraint: IndependenceOracle) -> tuple[float, int, int]:
+    """The clock and both oracle counters at solver entry."""
+    return time.perf_counter(), f.query_count, constraint.check_count
+
+
+def _report(algorithm, ground, parameters, s, fval, log, f, constraint, start) -> RunReport:
+    t0, queries0, checks0 = start
     star = 0 if fval[0] >= fval[1] else 1
     return RunReport(
         algorithm=algorithm,
@@ -66,8 +72,8 @@ def _report(algorithm, ground, parameters, s, fval, log, queries, checks, t0) ->
         f_s2=fval[1],
         f_star=fval[star],
         log=log,
-        value_queries=queries[0],
-        independence_checks=checks,
+        value_queries=f.query_count - queries0,
+        independence_checks=constraint.check_count - checks0,
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -86,16 +92,9 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
     The constraint must be hereditary; a non-hereditary family can make
     the run stop early, which is not detected.
     """
-    t0 = time.perf_counter()
+    start = _start(f, constraint)
     n = ground.n
-    queries = [0]
-
-    def ev(mask):
-        queries[0] += 1
-        return f.evaluate(mask)
-
-    checks0 = constraint.check_count
-    f_empty = ev(0)
+    f_empty = f.evaluate(0)
     s = [0, 0]
     fval = [f_empty, f_empty]
     states = [constraint.empty_state(), constraint.empty_state()]
@@ -107,7 +106,7 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
     empty_state = constraint.empty_state()
     for e in range(n):
         if constraint.can_add(empty_state, e):
-            val = ev(1 << e)
+            val = f.evaluate(1 << e)
             gain = val - f_empty
             heap.append((-gain, 0, e, 0, val))
             heap.append((-gain, 1, e, 0, val))
@@ -121,7 +120,7 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
         if not constraint.can_add(states[i], e):
             continue  # a grown side never becomes feasible again
         if ver != versions[i]:
-            val = ev(s[i] | (1 << e))
+            val = f.evaluate(s[i] | (1 << e))
             heapq.heappush(heap, (fval[i] - val, i, e, versions[i], val))
             continue
         gain = -neg_gain
@@ -134,10 +133,8 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
         versions[i] += 1
         selected |= 1 << e
 
-    return _report(
-        "twin_greedy", ground, {"tie_break": TIE_BREAK}, s, fval, log,
-        queries, constraint.check_count - checks0, t0,
-    )
+    return _report("twin_greedy", ground, {"tie_break": TIE_BREAK}, s, fval, log,
+                   f, constraint, start)
 
 
 def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet,
@@ -154,16 +151,9 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
-    t0 = time.perf_counter()
+    start = _start(f, constraint)
     n = ground.n
-    queries = [0]
-
-    def ev(mask):
-        queries[0] += 1
-        return f.evaluate(mask)
-
-    checks0 = constraint.check_count
-    f_empty = ev(0)
+    f_empty = f.evaluate(0)
     log = InsertionLog()
     s = [0, 0]
     fval = [f_empty, f_empty]
@@ -173,13 +163,12 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     empty_state = constraint.empty_state()
     for e in range(n):
         if constraint.can_add(empty_state, e):
-            singleton[e] = ev(1 << e)
+            singleton[e] = f.evaluate(1 << e)
     tau_max = float(singleton.max()) if n else -math.inf
     params["tau_max"] = None if math.isinf(tau_max) else tau_max
     if not tau_max > 0.0:
         params.update(passes=0, tau_min=None, rank=None)
-        return _report("twin_greedy_fast", ground, params, s, fval, log,
-                       queries, constraint.check_count - checks0, t0)
+        return _report("twin_greedy_fast", ground, params, s, fval, log, f, constraint, start)
 
     r = constraint_rank(constraint, ground)
     params["rank"] = r
@@ -204,7 +193,7 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
                 if not constraint.can_add(states[i], e):
                     bounds[i, e] = -np.inf
                     continue
-                val = ev(s[i] | (1 << e))
+                val = f.evaluate(s[i] | (1 << e))
                 gain = val - fval[i]
                 bounds[i, e] = gain
                 if gain > best_gain:  # strict keeps side 1 on ties
@@ -220,20 +209,13 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
         tau = tau_max / (1.0 + epsilon) ** passes
     params.update(passes=passes, tau_min=tau_max / (1.0 + epsilon) ** (passes - 1))
 
-    return _report("twin_greedy_fast", ground, params, s, fval, log,
-                   queries, constraint.check_count - checks0, t0)
+    return _report("twin_greedy_fast", ground, params, s, fval, log, f, constraint, start)
 
 
-def _single_greedy(algorithm, f, constraint, ground, candidates, parameters, t0,
-                   checks0) -> RunReport:
+def _single_greedy(algorithm, f, constraint, ground, candidates, parameters,
+                   start) -> RunReport:
     """Textbook single-set greedy: full rescans, positive-gain stopping."""
-    queries = [0]
-
-    def ev(mask):
-        queries[0] += 1
-        return f.evaluate(mask)
-
-    f_empty = ev(0)
+    f_empty = f.evaluate(0)
     sol = 0
     fcur = f_empty
     state = constraint.empty_state()
@@ -248,7 +230,7 @@ def _single_greedy(algorithm, f, constraint, ground, candidates, parameters, t0,
             if not constraint.can_add(state, e):
                 continue  # infeasible for good; drop from future rounds
             alive.append(e)
-            val = ev(sol | (1 << e))
+            val = f.evaluate(sol | (1 << e))
             gain = val - fcur
             if gain > best_gain:  # ascending scan keeps the lowest id on ties
                 best_e, best_gain, best_val = e, gain, val
@@ -262,14 +244,13 @@ def _single_greedy(algorithm, f, constraint, ground, candidates, parameters, t0,
         remaining = alive
 
     return _report(algorithm, ground, parameters, [sol, 0], [fcur, f_empty], log,
-                   queries, constraint.check_count - checks0, t0)
+                   f, constraint, start)
 
 
 def classic_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet) -> RunReport:
     """Single-set greedy baseline (the monotone workhorse)."""
-    t0 = time.perf_counter()
     return _single_greedy("classic_greedy", f, constraint, ground, range(ground.n),
-                          {"tie_break": TIE_BREAK}, t0, constraint.check_count)
+                          {"tie_break": TIE_BREAK}, _start(f, constraint))
 
 
 def sample_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet,
@@ -277,15 +258,13 @@ def sample_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: Ground
     """Greedy on a q-subsampled ground set (randomized matroid baseline)."""
     if not 0.0 < q <= 1.0:
         raise ParameterError(f"q must lie in (0,1], got {q}")
-    t0 = time.perf_counter()
-    checks0 = constraint.check_count
+    start = _start(f, constraint)
     rng = np.random.default_rng(seed)
     keep = rng.random(ground.n) < q
     candidates = [e for e in range(ground.n) if keep[e]]
     params = {"q": q, "seed": seed, "rng": RNG_ID, "tie_break": TIE_BREAK,
               "sample_size": len(candidates)}
-    return _single_greedy("sample_greedy", f, constraint, ground, candidates,
-                          params, t0, checks0)
+    return _single_greedy("sample_greedy", f, constraint, ground, candidates, params, start)
 
 
 @dataclass
@@ -327,16 +306,30 @@ def exact_max(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet)
 
 def solve(name: str, f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet,
           params: SolverParams | None = None) -> RunReport:
-    """Uniform front door over the implemented algorithms."""
+    """The one front door over the implemented algorithms.
+
+    Names: `twin` (twin_greedy), `twinfast` (twin_greedy_fast, needs
+    `params.epsilon`), `samplegreedy` (sample_greedy with `params.q` and
+    `params.seed`), `greedy` (classic_greedy) and `exact` (exact_max).
+    The `exact` report carries the optimum as side 1, an empty side 2 and
+    an empty log; its query count includes one f(empty) evaluation made
+    before the search.
+    """
     params = params or SolverParams()
-    if name in ("twin", "twin_greedy"):
+    if name == "twin":
         return twin_greedy(f, constraint, ground)
-    if name in ("twinfast", "twin_greedy_fast"):
+    if name == "twinfast":
         if params.epsilon is None:
             raise ParameterError("the thresholded solver needs epsilon")
         return twin_greedy_fast(f, constraint, ground, params.epsilon)
-    if name in ("samplegreedy", "sample_greedy"):
+    if name == "samplegreedy":
         return sample_greedy(f, constraint, ground, q=params.q, seed=params.seed or 0)
-    if name in ("greedy", "classic_greedy"):
+    if name == "greedy":
         return classic_greedy(f, constraint, ground)
+    if name == "exact":
+        start = _start(f, constraint)
+        f_empty = f.evaluate(0)
+        res = exact_max(f, constraint, ground)
+        return _report("exact", ground, {}, [res.solution, 0], [res.value, f_empty],
+                       InsertionLog(), f, constraint, start)
     raise ParameterError(f"unknown algorithm {name!r}")

@@ -274,3 +274,30 @@ def test_marketing_run_via_cli(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["f_star"] > 0
     assert payload["solution_size"] <= 2
+
+
+GRAPH_60 = "# nodes 60 directed 0\n0 1 0.5\n2 3 0.25\n"
+
+
+@pytest.mark.parametrize("graph_text, argv", [
+    (GRAPH_60, ["run", "--algo", "twinfast", "--epsilon", "2"]),
+    (GRAPH_60, ["run", "--algo", "samplegreedy", "--q", "0"]),
+    ("0 1\n", ["run", "--algo", "twin"]),
+    ("0 1 -1.0\n", ["run", "--algo", "twin"]),
+    (GRAPH_60, ["run", "--algo", "exact"]),
+    (GRAPH_60, ["sweep", "--axis", "k", "--values", "2", "--algos", "twinfast",
+                "--epsilon", "5"]),
+    (None, ["certify", "--instances", "2", "--n-max", "6", "--epsilon", "5"]),
+], ids=["run-epsilon", "run-q", "edge-missing-weight", "edge-negative-weight",
+        "exact-too-large", "sweep-epsilon", "certify-epsilon"])
+def test_bad_input_exits_two_without_traceback(tmp_path, capsys, graph_text, argv):
+    if graph_text is not None:
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text(graph_text)
+        argv = argv + ["--graph", str(graph_path), "--constraint", "uniform:k=2"]
+        argv += ["--objective", "cut"] if argv[0] == "run" else ["--out", str(tmp_path / "s.csv")]
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

@@ -91,7 +91,9 @@ def test_insertion_log_replay_and_pre():
     log.append(element=0, side=1, gain=0.5)
     s1, s2 = log.replay()
     assert t.members(s1) == [0, 3] and t.members(s2) == [1]
-    assert log.pre(0) == (0b1000, 0b0010)
+    pre = log.pre_masks()
+    assert list(pre) == [3, 1, 0]
+    assert pre[3] == (0, 0) and pre[1] == (0b1000, 0) and pre[0] == (0b1000, 0b0010)
     assert log.side_elements(1) == [3, 0]
     log.validate()
 

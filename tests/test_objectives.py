@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ import helpers
 def test_cut_value_path_center_node():
     graph = t.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     f = t.CutMonitorObjective(graph)
-    assert t.cut_value(f, 0b010) == 2.0
+    assert f.evaluate(0b010) == 2.0
 
 
 def test_cut_value_empty_and_full_are_zero():
@@ -175,6 +176,14 @@ def test_edge_list_round_trip(tmp_path):
     assert loaded.n_nodes == graph.n_nodes
     assert loaded.edges == graph.edges
     assert loaded.directed == graph.directed
+
+
+@pytest.mark.parametrize("line", ["0 1", "0 1 x", "0 1 0.5 7"])
+def test_edge_list_malformed_line_names_path_and_line(tmp_path, line):
+    path = tmp_path / "g.txt"
+    path.write_text(f"# nodes 3 directed 0\n0 2 1.0\n{line}\n")
+    with pytest.raises(t.ContractViolation, match=re.escape(f"{path}:3:")):
+        load_edge_list(path)
 
 
 def test_rr_sets_round_trip(tmp_path):

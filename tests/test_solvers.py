@@ -185,9 +185,10 @@ def test_twin_greedy_log_gains_positive_and_replayable():
     for idx, (graph, ground, oracle, constraint) in _mini_instances(40, 5500):
         report = t.twin_greedy(oracle(), constraint(), ground)
         ref = oracle()
-        for ent, (pre1, pre2) in zip(report.log.entries, report.log.pre_masks()):
+        pre = report.log.pre_masks()
+        for ent in report.log.entries:
             assert ent.gain > 0
-            base = pre1 if ent.side == 1 else pre2
+            base = pre[ent.element][ent.side - 1]
             recomputed = ref.evaluate(base | (1 << ent.element)) - ref.evaluate(base)
             assert abs(recomputed - ent.gain) <= 1e-9
 
@@ -330,18 +331,42 @@ def test_twin_greedy_fast_matches_rescan_reference_bit_exactly():
         assert a == b
 
 
+SOLVE_NAMES = {"twin": "twin_greedy", "twinfast": "twin_greedy_fast",
+               "samplegreedy": "sample_greedy", "greedy": "classic_greedy",
+               "exact": "exact"}
+
+
 def test_solve_dispatcher():
     graph, ground, oracle, constraint = helpers.cut_instance(7, seed=8200)
-    report = t.solve("twinfast", oracle(), constraint(), ground,
-                     t.SolverParams(epsilon=0.1))
-    assert report.algorithm == "twin_greedy_fast"
-    report = t.solve("samplegreedy", oracle(), constraint(), ground,
-                     t.SolverParams(q=0.5, seed=1))
-    assert report.algorithm == "sample_greedy"
+    params = t.SolverParams(epsilon=0.1, q=0.5, seed=1)
+    for name, algorithm in SOLVE_NAMES.items():
+        assert t.solve(name, oracle(), constraint(), ground, params).algorithm == algorithm
+    report = t.solve("exact", oracle(), constraint(), ground)
+    g = oracle()
+    res = t.exact_max(g, constraint(), ground)
+    assert len(report.log) == 0 and report.s2 == 0
+    assert report.s1 == report.s_star == res.solution
+    assert report.f_star == res.value
+    assert report.value_queries == 1 + g.query_count
     with pytest.raises(t.ParameterError):
         t.solve("twinfast", oracle(), constraint(), ground)
-    with pytest.raises(t.ParameterError):
-        t.solve("nope", oracle(), constraint(), ground)
+    for name in ("nope", "twin_greedy", "twin_greedy_fast", "sample_greedy",
+                 "classic_greedy"):
+        with pytest.raises(t.ParameterError):
+            t.solve(name, oracle(), constraint(), ground, params)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_NAMES))
+def test_report_counts_equal_oracle_counter_deltas(name):
+    # pre-used oracles: the report must count this run only
+    graph, ground, oracle, constraint = helpers.cut_instance(9, seed=8250)
+    f, c = oracle(), constraint()
+    f.evaluate(0b101)
+    c.is_independent(0b11)
+    q0, k0 = f.query_count, c.check_count
+    report = t.solve(name, f, c, ground, t.SolverParams(epsilon=0.1, seed=2))
+    assert report.value_queries == f.query_count - q0 > 0
+    assert report.independence_checks == c.check_count - k0 > 0
 
 
 def test_sample_greedy_rejects_bad_q():
