@@ -20,7 +20,7 @@ from . import certify as certify_mod
 from . import constraints as cons
 from . import generators as gen
 from . import objectives as obj
-from .core import ContractViolation, GroundSet, ParameterError
+from .core import ContractViolation, GroundSet, ParameterError, read_rows
 from .solvers import SolverParams, exact_max, solve
 
 CSV_HEADER = ["algo", "axis", "rep", "utility", "value_queries",
@@ -39,15 +39,12 @@ class UsageError(Exception):
 def _master_seed(value):
     if value is not None:
         return value
-    return int(os.environ.get("TWINOPT_SEED", "0"))
+    return _parse_list("TWINOPT_SEED", os.environ.get("TWINOPT_SEED", "0"), int, count=1)[0]
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _echo(payload) -> None:
@@ -71,11 +68,7 @@ def parse_constraint_spec(spec: str, n: int):
     """
     try:
         kind, _, rest = spec.partition(":")
-        kv = {}
-        if rest:
-            for item in rest.split(","):
-                key, _, value = item.partition("=")
-                kv[key.strip()] = value.strip()
+        kv = {k.strip(): v.strip() for k, _, v in (item.partition("=") for item in rest.split(","))}
         if kind == "uniform":
             return cons.UniformMatroid(n, int(kv["k"]))
         if kind == "partition":
@@ -89,8 +82,10 @@ def parse_constraint_spec(spec: str, n: int):
             return cons.PartitionMatroid(part_of, cap)
         if kind == "seedmatroid":
             if "file" in kv:
-                with open(kv["file"]) as fh:
-                    v, m, k = cons.parse_seed_config(fh.read())
+                rows = read_rows(kv["file"], "V m k", lambda f, _: cons.parse_seed_config(" ".join(f)))[1]
+                if len(rows) != 1:
+                    raise UsageError(f"{kv['file']}: expected one 'V m k' line, got {len(rows)}")
+                v, m, k = rows[0]
             else:
                 v, m, k = int(kv["v"]), int(kv["m"]), int(kv["k"])
             oracle = cons.SeedMatroid(v, m, k)
@@ -98,18 +93,11 @@ def parse_constraint_spec(spec: str, n: int):
                 raise UsageError(f"seed matroid ground {oracle.n} != objective ground {n}")
             return oracle
         if kind == "psystem":
-            p = int(kv["p"])
-            cap = int(kv["cap"])
-            h = int(kv["h"])
-            seed = int(kv.get("seed", "0"))
-            parts = [
+            cap, h, seed = int(kv["cap"]), int(kv["h"]), int(kv.get("seed", "0"))
+            return cons.IntersectionSystem([
                 cons.PartitionMatroid(gen.assign_groups(n, h, seed + i), cap)
-                for i in range(p)
-            ]
-            return cons.IntersectionSystem(parts)
-    except UsageError:
-        raise
-    except FileNotFoundError:
+                for i in range(int(kv["p"]))])
+    except (UsageError, OSError):
         raise
     except Exception as exc:
         raise UsageError(f"bad constraint spec {spec!r}: {exc}") from exc
@@ -121,45 +109,44 @@ def parse_constraint_spec(spec: str, n: int):
 
 
 def _load_modular_weights(path):
-    weights = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                weights.append(float(line))
-    return weights
+    """One weight per line."""
+    return read_rows(path, "weight", lambda fields, _: float(*fields))[1]
 
 
 def build_objective(args):
     """Returns (oracle factory, ground, input file hashes)."""
-    hashes = {}
     if args.objective == "cut":
         if not args.graph:
             raise UsageError("cut objective needs --graph")
-        graph = obj.load_edge_list(args.graph, directed=False)
-        hashes[args.graph] = _sha256(args.graph)
-        ground = GroundSet(graph.n_nodes)
-        return (lambda: obj.CutMonitorObjective(graph)), ground, hashes
-    if args.objective == "modular":
+        inputs, graph = [args.graph], obj.load_edge_list(args.graph, directed=False)
+        factory, n = (lambda: obj.CutMonitorObjective(graph)), graph.n_nodes
+    elif args.objective == "modular":
         if not args.weights_file:
             raise UsageError("modular objective needs --weights-file")
-        weights = _load_modular_weights(args.weights_file)
-        hashes[args.weights_file] = _sha256(args.weights_file)
-        ground = GroundSet(len(weights))
-        return (lambda: obj.ModularObjective(weights)), ground, hashes
-    if args.objective == "marketing":
+        inputs, weights = [args.weights_file], _load_modular_weights(args.weights_file)
+        factory, n = (lambda: obj.ModularObjective(weights)), len(weights)
+    elif args.objective == "marketing":
         if not (args.rrsets and args.costs):
             raise UsageError("marketing objective needs --rrsets and --costs")
-        paths = args.rrsets.split(",")
-        collections = [obj.load_rr_sets(p) for p in paths]
-        for p in paths:
-            hashes[p] = _sha256(p)
-        costs = obj.load_costs(args.costs)
-        hashes[args.costs] = _sha256(args.costs)
-        budget = args.budget
-        ground = GroundSet(collections[0].n_nodes * len(collections))
-        return (lambda: obj.MarketingObjective(collections, costs, budget)), ground, hashes
-    raise UsageError(f"unknown objective {args.objective!r}")
+        inputs = args.rrsets.split(",") + [args.costs]
+        collections = [obj.load_rr_sets(p) for p in inputs[:-1]]
+        costs, budget = obj.load_costs(args.costs), args.budget
+        factory = (lambda: obj.MarketingObjective(collections, costs, budget))
+        n = collections[0].n_nodes * len(collections)
+    else:
+        raise UsageError(f"unknown objective {args.objective!r}")
+    return factory, GroundSet(n), {p: _sha256(p) for p in inputs}
+
+
+def _parse_list(flag, text, kind, count=None):
+    """Parse a comma-separated flag value; a bad value is a usage error."""
+    try:
+        values = [kind(v) for v in text.split(",")]
+        if count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    raise UsageError(f"{flag} expects {count or 'comma-separated'} {kind.__name__} values: {text!r}")
 
 
 def _csv_row(algo, axis, rep, report_dict):
@@ -194,13 +181,14 @@ def cmd_gen_graph(args) -> int:
     else:
         raise UsageError(f"unknown model {args.model!r}")
     if args.weights:
-        lo, hi = (float(x) for x in args.weights.split(","))
+        lo, hi = _parse_list("--weights", args.weights, float, count=2)
         graph = gen.assign_weights_uniform(graph, lo, hi, seed + 1)
+    parts = gen.assign_groups(args.n, args.groups, seed + 2) if args.groups else None
     obj.save_edge_list(args.out, graph)
     files = {args.out: {"sha256": _sha256(args.out), "bytes": os.path.getsize(args.out)}}
-    if args.groups:
+    if parts is not None:
         parts_path = args.out + ".parts"
-        cons.save_partition(parts_path, gen.assign_groups(args.n, args.groups, seed + 2))
+        cons.save_partition(parts_path, parts)
         files[parts_path] = {"sha256": _sha256(parts_path),
                              "bytes": os.path.getsize(parts_path)}
     _echo({
@@ -257,7 +245,7 @@ def cmd_run(args) -> int:
 
 def _sweep_cell(task):
     """One (algorithm, axis value, rep) sweep cell; runs in a worker."""
-    graph = obj.load_edge_list(task["graph"], directed=False)
+    graph = task["graph"]
     ground = GroundSet(graph.n_nodes)
     constraint = parse_constraint_spec(task["constraint"], ground.n)
     report = solve(task["algo"], obj.CutMonitorObjective(graph), constraint, ground,
@@ -268,9 +256,9 @@ def _sweep_cell(task):
 
 def cmd_sweep(args) -> int:
     seed = _master_seed(args.seed)
-    axis_values = [float(v) if args.axis == "epsilon" else int(v)
-                   for v in args.values.split(",")]
+    axis_values = _parse_list("--values", args.values, float if args.axis == "epsilon" else int)
     algos = args.algos.split(",")
+    graph = obj.load_edge_list(args.graph, directed=False)
     tasks = []
     for ai, axis_value in enumerate(axis_values):
         if args.axis == "k":
@@ -283,7 +271,7 @@ def cmd_sweep(args) -> int:
                 epsilon = axis_value if (args.axis == "epsilon" and algo == "twinfast") \
                     else args.epsilon
                 tasks.append({
-                    "graph": args.graph, "constraint": spec, "algo": algo,
+                    "graph": graph, "constraint": spec, "algo": algo,
                     "axis": axis_value, "rep": rep, "epsilon": epsilon, "q": args.q,
                     "seed": seed * 100000 + ai * 1000 + rep,
                     "timing": not args.no_timing,
@@ -512,7 +500,7 @@ def main(argv=None) -> int:
     except (UsageError, ParameterError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
 

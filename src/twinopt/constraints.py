@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .core import ContractViolation, GroundSet, IndependenceOracle, members
+from .core import ContractViolation, GroundSet, IndependenceOracle, members, read_dense, write_rows
 
 
 class UniformMatroid(IndependenceOracle):
@@ -19,6 +19,8 @@ class UniformMatroid(IndependenceOracle):
 
     def __init__(self, n: int, k: int):
         super().__init__(n)
+        if k < 0:
+            raise ContractViolation(f"uniform matroid needs k >= 0, got {k}")
         self.k = k
 
     def _independent(self, mask):
@@ -39,9 +41,12 @@ class PartitionMatroid(IndependenceOracle):
 
     def __init__(self, part_of, cap: int):
         super().__init__(len(part_of))
-        self.part_of = list(part_of)
+        if cap < 0:
+            raise ContractViolation(f"partition matroid needs cap >= 0, got {cap}")
+        index = {p: i for i, p in enumerate(sorted(set(part_of)))}  # any labels -> 0..h-1
+        self.part_of = [index[p] for p in part_of]
         self.cap = cap
-        self.h = max(self.part_of) + 1 if self.part_of else 0
+        self.h = len(index)
 
     def _independent(self, mask):
         counts = [0] * self.h
@@ -71,6 +76,8 @@ class SeedMatroid(IndependenceOracle):
     """
 
     def __init__(self, n_nodes: int, m: int, k: int):
+        if n_nodes < 0 or m < 1 or k < 0:
+            raise ContractViolation(f"seed matroid needs |V|, k >= 0 and m >= 1, got {n_nodes, m, k}")
         super().__init__(n_nodes * m)
         self.n_nodes = n_nodes
         self.m = m
@@ -235,30 +242,12 @@ def _random_independent(constraint, n, rng):
 
 
 def load_partition(path) -> list[int]:
-    """Read `element_id part_id` lines into a dense part_of list."""
-    pairs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            e, p = line.split()
-            pairs.append((int(e), int(p)))
-    if not pairs:
-        return []
-    n = max(e for e, _ in pairs) + 1
-    if sorted(e for e, _ in pairs) != list(range(n)):
-        raise ContractViolation("partition file must cover ids 0..n-1 exactly once")
-    part_of = [0] * n
-    for e, p in pairs:
-        part_of[e] = p
-    return part_of
+    """Read `element_id part_id` lines covering the ids 0..n-1 exactly once."""
+    return read_dense(path, "element_id part_id", int)
 
 
 def save_partition(path, part_of) -> None:
-    with open(path, "w") as fh:
-        for e, p in enumerate(part_of):
-            fh.write(f"{e} {p}\n")
+    write_rows(path, enumerate(part_of))
 
 
 def parse_seed_config(text: str) -> tuple[int, int, int]:

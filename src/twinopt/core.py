@@ -63,6 +63,73 @@ class GroundSet:
 
 
 # ---------------------------------------------------------------------------
+# text files
+
+
+def read_rows(path, shape: str, convert, keys=()) -> tuple[dict[str, int], list]:
+    """Header and rows of a whitespace-separated text file.
+
+    Blank lines and `#` comments are skipped; a `#` line starting with one
+    of `keys` is a header of counts, like `# nodes 5 directed 0`, before
+    any row.  Each other line becomes `convert(fields, header)`.  Errors
+    are raised as ContractViolation `PATH:LINE: ...`, citing `shape` for a
+    line that does not parse (`expected 'node cost', got '1'`)."""
+    header: dict[str, int] = {}
+    rows = []
+    with open(path, errors="replace") as fh:  # undecodable bytes fail to parse
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields:
+                continue
+            try:
+                if fields[0][0] != "#":
+                    rows.append(convert(fields, header))
+                    continue
+                words = line.strip()[1:].split()
+                if words and words[0] in keys:
+                    if rows:
+                        raise ContractViolation("the header must come before the first row")
+                    for key in set(keys) & set(words):
+                        header[key] = int(words[words.index(key) + 1])
+                    if min(header.values()) < 0:
+                        raise ValueError
+            except ContractViolation as exc:
+                raise ContractViolation(f"{path}:{lineno}: {exc}") from None
+            except (ValueError, TypeError, IndexError):
+                expected = shape if fields[0][0] != "#" else "# " + " N ".join(keys) + " N"
+                raise ContractViolation(f"{path}:{lineno}: expected {expected!r}, got {line.strip()!r}") from None
+    return header, rows
+
+
+def read_dense(path, shape: str, kind) -> list:
+    """Values of an `id value` file whose ids cover 0..n-1 exactly once."""
+    def row(fields, header):
+        e, value = fields
+        return int(e), kind(value)
+
+    rows = read_rows(path, shape, row)[1]
+    values = [None] * len(rows)
+    for e, value in rows:
+        if not 0 <= e < len(rows) or values[e] is not None:
+            raise ContractViolation(f"{path}: ids must cover 0..{len(rows) - 1} exactly once, not {e}")
+        values[e] = value
+    return values
+
+
+def write_rows(path, rows, header: dict[str, int] | None = None) -> None:
+    """Write each row as its fields' `str` joined by spaces, after an
+    optional `# key value ...` header line."""
+    formats = {}  # row width -> "%s %s ...\n"; one % per row beats a join
+    with open(path, "w") as fh:
+        if header:
+            fh.write("# " + " ".join(f"{k} {v}" for k, v in header.items()) + "\n")
+        for row in rows:
+            if len(row) not in formats:
+                formats[len(row)] = " ".join(["%s"] * len(row)) + "\n"
+            fh.write(formats[len(row)] % tuple(row))
+
+
+# ---------------------------------------------------------------------------
 # oracle contracts
 
 

@@ -7,6 +7,7 @@ which bit stream produced them.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -23,8 +24,8 @@ def _rng(seed):
 
 def gen_er(n: int, p: float, seed: int) -> WeightedGraph:
     """Erdos-Renyi G(n, p): each unordered pair kept independently w.p. p."""
-    if not 0.0 <= p <= 1.0:
-        raise ContractViolation("edge probability must lie in [0,1]")
+    if n < 0 or not 0.0 <= p <= 1.0:
+        raise ContractViolation(f"need n >= 0 and edge probability p in [0,1], got {n}, {p}")
     rng = _rng(seed)
     edges: list[tuple[int, int, float]] = []
     if n >= 2 and p > 0.0:
@@ -64,8 +65,8 @@ def gen_ba(n: int, m0: int, m: int, seed: int) -> WeightedGraph:
 
 def assign_weights_uniform(g: WeightedGraph, lo: float, hi: float, seed: int) -> WeightedGraph:
     """Replace edge weights with i.i.d. uniforms from [lo, hi)."""
-    if lo > hi:
-        raise ContractViolation("need lo <= hi")
+    if not 0.0 <= lo <= hi < math.inf:
+        raise ContractViolation(f"need finite weights 0 <= lo <= hi, got {lo}, {hi}")
     rng = _rng(seed)
     draws = rng.uniform(lo, hi, len(g.edges)) if g.edges else np.empty(0)
     edges = [(u, v, float(w)) for (u, v, _), w in zip(g.edges, draws)]

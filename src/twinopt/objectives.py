@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ContractViolation, ValueOracle, members
+from .core import ContractViolation, ValueOracle, bitmask, members, read_dense, read_rows, write_rows
 
 # below this many nodes a Python adjacency scan beats the sparse matvec
 _SPARSE_MIN_NODES = 192
@@ -47,14 +47,6 @@ class WeightedGraph:
                 adj[u].append((v, w))
         return adj
 
-    def out_adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            if not self.directed:
-                adj[v].append((u, w))
-        return adj
-
     def in_degrees(self) -> list[int]:
         deg = [0] * self.n_nodes
         for _, v, _ in self.edges:
@@ -64,39 +56,22 @@ class WeightedGraph:
 
 def save_edge_list(path, graph: WeightedGraph) -> None:
     """Write `u v w` lines (the header comment records n and direction)."""
-    with open(path, "w") as fh:
-        fh.write(f"# nodes {graph.n_nodes} directed {int(graph.directed)}\n")
-        for u, v, w in graph.edges:
-            fh.write(f"{u} {v} {w!r}\n")
+    write_rows(path, graph.edges, {"nodes": graph.n_nodes, "directed": int(graph.directed)})
+
+
+def _edge_row(fields, header):
+    u, v, w = fields
+    u, v, w, n = int(u), int(v), float(w), header.get("nodes", math.inf)
+    if not (0 <= u < n and 0 <= v < n and 0 <= w < math.inf):
+        raise ContractViolation(f"edge {u} {v} {w} needs ids in 0..{n - 1} and a weight >= 0")
+    return u, v, w
 
 
 def load_edge_list(path, directed: bool | None = None) -> WeightedGraph:
-    n_nodes = 0
-    header_directed = False
-    edges = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if "nodes" in fields:
-                    n_nodes = int(fields[fields.index("nodes") + 1])
-                if "directed" in fields:
-                    header_directed = bool(int(fields[fields.index("directed") + 1]))
-                continue
-            try:
-                u, v, w = line.split()
-                edges.append((int(u), int(v), float(w)))
-            except ValueError:
-                raise ContractViolation(
-                    f"{path}:{lineno}: expected 'u v w', got {line!r}") from None
-    if edges:
-        n_nodes = max(n_nodes, 1 + max(max(u, v) for u, v, _ in edges))
-    g = WeightedGraph(n_nodes, edges, directed=header_directed if directed is None else directed)
-    g.validate()
-    return g
+    """Read a graph; without a `# nodes N` header, n is 1 + the largest id."""
+    header, edges = read_rows(path, "u v w", _edge_row, keys=("nodes", "directed"))
+    n_nodes = header.get("nodes", 1 + max((max(u, v) for u, v, _ in edges), default=-1))
+    return WeightedGraph(n_nodes, edges, bool(header.get("directed")) if directed is None else directed)
 
 
 class CutMonitorObjective(ValueOracle):
@@ -126,7 +101,7 @@ class CutMonitorObjective(ValueOracle):
             )
             self._nbytes = (self.n + 7) // 8
         else:
-            self._lists = graph.out_adjacency()
+            self._lists = graph.in_adjacency()  # undirected: the neighbour lists
 
     def _value(self, mask: int) -> float:
         if mask >> self.n:
@@ -171,32 +146,20 @@ def rr_estimate(collection: RRSetCollection, seeds_mask: int) -> float:
 
 
 def save_rr_sets(path, collection: RRSetCollection) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# nodes {collection.n_nodes}\n")
-        for m in collection.sets:
-            fh.write(" ".join(str(e) for e in members(m)) + "\n")
+    write_rows(path, map(members, collection.sets), {"nodes": collection.n_nodes})
 
 
 def load_rr_sets(path) -> RRSetCollection:
-    n_nodes = 0
-    sets = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if "nodes" in fields:
-                    n_nodes = int(fields[fields.index("nodes") + 1])
-                continue
-            if not line:
-                continue
-            mask = 0
-            for tok in line.split():
-                mask |= 1 << int(tok)
-            sets.append(mask)
-    if sets:
-        n_nodes = max(n_nodes, 1 + max(m.bit_length() - 1 for m in sets))
-    return RRSetCollection(n_nodes, sets)
+    """One set of node ids per line; n is the header's, else 1 + the largest id."""
+    header, sets = read_rows(path, "node ids", _rr_row, keys=("nodes",))
+    return RRSetCollection(header.get("nodes", max(sets, default=0).bit_length()), sets)
+
+
+def _rr_row(fields, header):
+    mask = bitmask(int(e) for e in fields)  # a negative id fails the shift
+    if mask.bit_length() > header.get("nodes", math.inf):
+        raise ContractViolation(f"node id {mask.bit_length() - 1} is past the header's nodes")
+    return mask
 
 
 def pack_seed_id(node: int, product: int, m: int) -> int:
@@ -213,7 +176,8 @@ class MarketingObjective(ValueOracle):
     Ground ids pack (node u, product i) as u*m + i.  For non-empty S the
     value is sum_i estimate_i(S_i) + (B - total seeding cost); the empty
     set is pinned to 0 rather than B, which keeps the function submodular
-    while modelling "no seeds, no campaign, no leftover budget".
+    while modelling "no seeds, no campaign, no leftover budget".  B is at
+    least the largest seeding cost m * sum(costs), its default, so f >= 0.
     """
 
     def __init__(self, collections: list[RRSetCollection], costs, budget: float | None = None):
@@ -225,13 +189,16 @@ class MarketingObjective(ValueOracle):
             raise ContractViolation("collections must share one node set")
         if len(costs) != n_nodes:
             raise ContractViolation("need one cost per node")
-        if any(c < 0 for c in costs):
-            raise ContractViolation("costs must be non-negative")
+        if not all(math.isfinite(c) and c >= 0 for c in costs):
+            raise ContractViolation("costs must be finite and non-negative")
         self.collections = collections
         self.m = len(collections)
         self.n_nodes = n_nodes
         self.costs = list(costs)
-        self.budget = self.m * sum(self.costs) if budget is None else budget
+        max_cost = self.m * sum(self.costs)
+        self.budget = max_cost if budget is None else budget
+        if not (math.isfinite(self.budget) and self.budget >= max_cost):
+            raise ContractViolation(f"budget {self.budget} is below m * sum(costs) = {max_cost}")
         self.n = n_nodes * self.m
 
     def _value(self, mask: int) -> float:
@@ -289,23 +256,9 @@ class CoverageObjective(ValueOracle):
 
 
 def load_costs(path) -> list[float]:
-    """Read `node cost` lines into a dense list."""
-    pairs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            u, c = line.split()
-            pairs.append((int(u), float(c)))
-    n = max(u for u, _ in pairs) + 1 if pairs else 0
-    costs = [0.0] * n
-    for u, c in pairs:
-        costs[u] = c
-    return costs
+    """Read `node cost` lines covering the nodes 0..n-1 exactly once."""
+    return read_dense(path, "node cost", float)
 
 
 def save_costs(path, costs) -> None:
-    with open(path, "w") as fh:
-        for u, c in enumerate(costs):
-            fh.write(f"{u} {c!r}\n")
+    write_rows(path, enumerate(costs))

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twinopt as t
 from twinopt import cli
@@ -256,6 +263,18 @@ def test_constraint_spec_parsing(tmp_path):
         cli.parse_constraint_spec("uniform", 5)
 
 
+def test_seedmatroid_spec_reads_a_config_file(tmp_path):
+    path = tmp_path / "seed.txt"
+    path.write_text("# |V| m k\n3 2 2\n")
+    oracle = cli.parse_constraint_spec(f"seedmatroid:file={path}", 6)
+    assert (oracle.n_nodes, oracle.m, oracle.k) == (3, 2, 2)
+    for text, where in (("3 2\n", f"{path}:1:"), ("3 x 2\n", f"{path}:1:"),
+                        ("3 2 2\n1 1 1\n", f"{path}: expected one")):
+        path.write_text(text)
+        with pytest.raises(cli.UsageError, match=re.escape(where)):
+            cli.parse_constraint_spec(f"seedmatroid:file={path}", 6)
+
+
 def test_marketing_run_via_cli(tmp_path, capsys):
     graph_path = tmp_path / "dg.txt"
     graph_path.write_text("# nodes 4 directed 1\n0 1 0.6\n1 2 0.5\n2 3 0.4\n")
@@ -277,27 +296,148 @@ def test_marketing_run_via_cli(tmp_path, capsys):
 
 
 GRAPH_60 = "# nodes 60 directed 0\n0 1 0.5\n2 3 0.25\n"
+RR_3 = "# nodes 3\n0 1\n2\n"
+COSTS_3 = "0 0.5\n1 0.5\n2 0.5\n"
+CUT = ["run", "--algo", "twin", "--objective", "cut", "--graph", "@g.txt",
+       "--constraint", "uniform:k=2"]
+MARKETING = ["run", "--algo", "twin", "--objective", "marketing", "--rrsets", "@rr.txt",
+             "--costs", "@c.txt", "--constraint", "seedmatroid:v=3,m=1,k=1"]
+SWEEP = ["sweep", "--axis", "k", "--algos", "twinfast", "--graph", "@g.txt",
+         "--constraint", "uniform:k={k}", "--out", "@s.csv"]
 
 
-@pytest.mark.parametrize("graph_text, argv", [
-    (GRAPH_60, ["run", "--algo", "twinfast", "--epsilon", "2"]),
-    (GRAPH_60, ["run", "--algo", "samplegreedy", "--q", "0"]),
-    ("0 1\n", ["run", "--algo", "twin"]),
-    ("0 1 -1.0\n", ["run", "--algo", "twin"]),
-    (GRAPH_60, ["run", "--algo", "exact"]),
-    (GRAPH_60, ["sweep", "--axis", "k", "--values", "2", "--algos", "twinfast",
-                "--epsilon", "5"]),
-    (None, ["certify", "--instances", "2", "--n-max", "6", "--epsilon", "5"]),
-], ids=["run-epsilon", "run-q", "edge-missing-weight", "edge-negative-weight",
-        "exact-too-large", "sweep-epsilon", "certify-epsilon"])
-def test_bad_input_exits_two_without_traceback(tmp_path, capsys, graph_text, argv):
-    if graph_text is not None:
-        graph_path = tmp_path / "g.txt"
-        graph_path.write_text(graph_text)
-        argv = argv + ["--graph", str(graph_path), "--constraint", "uniform:k=2"]
-        argv += ["--objective", "cut"] if argv[0] == "run" else ["--out", str(tmp_path / "s.csv")]
+def _swap(argv, flag, value):
+    return [value if prev == flag else a for prev, a in zip([None] + argv, argv)]
+
+
+# (input files, argv with @NAME for a file in tmp_path, text the error line must hold)
+BAD_INPUTS = {
+    "run-epsilon": ({"g.txt": GRAPH_60}, _swap(CUT, "--algo", "twinfast") + ["--epsilon", "2"],
+                    "epsilon"),
+    "run-q": ({"g.txt": GRAPH_60}, _swap(CUT, "--algo", "samplegreedy") + ["--q", "0"], "q "),
+    "edge-missing-weight": ({"g.txt": "0 1\n"}, CUT, "g.txt:1: expected 'u v w'"),
+    "edge-negative-weight": ({"g.txt": "0 1 -1.0\n"}, CUT, "g.txt:1: edge 0 1 -1.0"),
+    "exact-too-large": ({"g.txt": GRAPH_60}, _swap(CUT, "--algo", "exact"), "n <= 20"),
+    "sweep-epsilon": ({"g.txt": GRAPH_60}, SWEEP + ["--values", "2", "--epsilon", "5"],
+                      "epsilon"),
+    "certify-epsilon": ({}, ["certify", "--instances", "2", "--n-max", "6", "--epsilon", "5"],
+                        "epsilon"),
+    "graph-header-not-a-number": ({"g.txt": "# nodes abc\n0 1 1.0\n"}, CUT,
+                                  "g.txt:1: expected '# nodes N directed N'"),
+    "graph-id-past-header": ({"g.txt": "# nodes 2\n0 1 1.0\n1 2 1.0\n"}, CUT, "g.txt:3:"),
+    "modular-weight-not-a-number": (
+        {"w.txt": "1.0\nabc\n"},
+        ["run", "--algo", "twin", "--objective", "modular", "--weights-file", "@w.txt",
+         "--constraint", "uniform:k=2"], "w.txt:2: expected 'weight'"),
+    "rrset-token-not-a-number": ({"rr.txt": "# nodes 3\n0 x\n", "c.txt": COSTS_3}, MARKETING,
+                                 "rr.txt:2: expected 'node ids'"),
+    "cost-not-a-number": ({"rr.txt": RR_3, "c.txt": "0 0.5\n1 abc\n2 0.5\n"}, MARKETING,
+                          "c.txt:2: expected 'node cost'"),
+    "cost-line-one-field": ({"rr.txt": RR_3, "c.txt": "0 0.5\n1\n2 0.5\n"}, MARKETING,
+                            "c.txt:2: expected 'node cost'"),
+    "cost-missing-node": ({"rr.txt": RR_3, "c.txt": "0 0.5\n2 0.5\n"}, MARKETING,
+                          "c.txt: ids must cover"),
+    "budget-below-total-cost": ({"rr.txt": RR_3, "c.txt": COSTS_3}, MARKETING + ["--budget", "1"],
+                                "budget"),
+    "gen-graph-weights-one-value": (
+        {}, ["gen-graph", "--model", "er", "--n", "5", "--p", "0.5", "--weights", "1",
+             "--out", "@o.txt"], "--weights"),
+    "gen-graph-weights-not-numbers": (
+        {}, ["gen-graph", "--model", "er", "--n", "5", "--p", "0.5", "--weights", "a,b",
+             "--out", "@o.txt"], "--weights"),
+    "gen-graph-negative-n": (
+        {}, ["gen-graph", "--model", "er", "--n", "-5", "--p", "0.5", "--out", "@o.txt"],
+        "n >= 0"),
+    "gen-graph-negative-groups": (
+        {}, ["gen-graph", "--model", "er", "--n", "5", "--p", "0.5", "--groups", "-1",
+             "--out", "@o.txt"], "group"),
+    "sweep-values-not-numbers": ({"g.txt": GRAPH_60}, SWEEP + ["--values", "x"], "--values"),
+    "uniform-negative-k": ({"g.txt": GRAPH_60}, _swap(CUT, "--constraint", "uniform:k=-1"),
+                           "k >= 0"),
+    "partition-negative-cap": ({"g.txt": GRAPH_60},
+                               _swap(CUT, "--constraint", "partition:cap=-1,h=2"), "cap >= 0"),
+    "seedmatroid-negative-k": ({"rr.txt": RR_3, "c.txt": COSTS_3},
+                               _swap(MARKETING, "--constraint", "seedmatroid:v=3,m=1,k=-1"),
+                               "k >= 0"),
+    "seedmatroid-zero-products": ({"rr.txt": RR_3, "c.txt": COSTS_3},
+                                  _swap(MARKETING, "--constraint", "seedmatroid:v=3,m=0,k=1"),
+                                  "m >= 1"),
+}
+
+
+@pytest.mark.parametrize("files, argv, needle", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_two_without_traceback(tmp_path, capsys, files, argv, needle):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     code = run_cli(argv)
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert needle in err
+    assert not (tmp_path / "o.txt").exists()
+
+
+# fuzz: each input file kind, valid or with a few lines replaced, deleted or
+# added, and constraint specs that are valid or random
+G_4 = "# nodes 4 directed 0\n0 1 0.5\n1 2 1.0\n2 3 0.25\n"
+FUZZ_FILES = {  # kind: (valid file text, run arguments; @fuzz.txt is the fuzzed file)
+    "graph": (G_4, ["--objective", "cut", "--graph", "@fuzz.txt"]),
+    "weights": ("1.0\n-2.0\n3.0\n", ["--objective", "modular", "--weights-file", "@fuzz.txt"]),
+    "rrsets": (RR_3, ["--objective", "marketing", "--rrsets", "@fuzz.txt", "--costs", "@c.txt"]),
+    "costs": (COSTS_3, ["--objective", "marketing", "--rrsets", "@rr.txt", "--costs",
+                        "@fuzz.txt"]),
+    "partition": ("0 0\n1 1\n2 0\n3 1\n", ["--objective", "cut", "--graph", "@g.txt"]),
+}
+TOKENS = ["0", "1", "2", "3", "7", "-1", "0.5", "-0.5", "1e3", "nan", "inf", "x", "#",
+          "nodes", "directed", "\u0663", "\ufffd"]
+FUZZ_LINE = st.lists(st.sampled_from(TOKENS), max_size=4).map(" ".join)
+SPEC_ITEM = st.builds("{}={}".format,
+                      st.sampled_from(["k", "cap", "h", "seed", "p", "v", "m", "parts", "file"]),
+                      st.sampled_from(["-1", "0", "1", "2", "3", "x", "", "@fuzz.txt"]))
+FUZZ_SPEC = st.one_of(
+    st.sampled_from(["uniform:k=2", "partition:cap=1,h=2", "psystem:p=2,cap=1,h=2,seed=1",
+                     "seedmatroid:v=3,m=1,k=2"]),
+    st.builds("{}:{}".format,
+              st.sampled_from(["uniform", "partition", "seedmatroid", "psystem", "ring"]),
+              st.lists(SPEC_ITEM, max_size=4).map(",".join)))
+
+
+@st.composite
+def fuzzed_file(draw, text):
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        lines[i:i + draw(st.integers(0, 1))] = draw(st.lists(FUZZ_LINE, max_size=1))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(sorted(FUZZ_FILES)), spec=FUZZ_SPEC)
+def test_cli_fuzzed_files_and_specs_exit_cleanly(data, kind, spec):
+    text, args = FUZZ_FILES[kind]
+    if kind == "partition":
+        spec = "partition:cap=1,parts=@fuzz.txt"
+    files = {"fuzz.txt": data.draw(fuzzed_file(text)), "g.txt": G_4, "rr.txt": RR_3,
+             "c.txt": COSTS_3}
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(content)
+        argv = ["run", "--algo", "twin", "--constraint", spec, "--no-timing"] + args
+        argv = [a.replace("@", tmp + os.sep) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().count("\n") == 1
+
+
+def test_bad_seed_environment_exits_two(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("TWINOPT_SEED", "abc")
+    code = run_cli(["gen-graph", "--model", "er", "--n", "5", "--p", "0.5",
+                    "--out", str(tmp_path / "o.txt")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE and err.startswith("error: TWINOPT_SEED")

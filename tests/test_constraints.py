@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -170,3 +171,24 @@ def test_parse_seed_config():
     assert parse_seed_config("5 3 2\n") == (5, 3, 2)
     with pytest.raises(t.ContractViolation):
         parse_seed_config("5 3")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: t.UniformMatroid(3, -1),
+    lambda: t.PartitionMatroid([0, 1], cap=-1),
+    lambda: t.SeedMatroid(3, 1, -1),
+    lambda: t.SeedMatroid(3, 0, 1),
+    lambda: t.SeedMatroid(-1, 1, 1),
+], ids=["uniform-k", "partition-cap", "seed-k", "seed-m", "seed-nodes"])
+def test_constructors_reject_negative_sizes(build):
+    with pytest.raises(t.ContractViolation):
+        build()
+
+
+def test_partition_labels_need_not_be_dense():
+    sparse = t.PartitionMatroid([10**12, -3, 10**12, 7], cap=1)
+    dense = t.PartitionMatroid([2, 0, 2, 1], cap=1)
+    assert sparse.h == 3
+    for mask in range(1 << 4):
+        assert sparse.is_independent(mask) == dense.is_independent(mask)
+

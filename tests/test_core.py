@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinopt as t
-from twinopt.core import CallableOracle, LogEntry
+from twinopt.core import CallableOracle, LogEntry, read_dense, read_rows, write_rows
 
 import helpers
 
@@ -138,3 +140,45 @@ def test_log_replay_matches_report_sides():
     graph, ground, oracle, constraint = helpers.cut_instance(9, seed=21)
     report = t.twin_greedy(oracle(), constraint(), ground)
     assert report.log.replay() == (report.s1, report.s2)
+
+
+def test_read_rows_header_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_text("# a comment\n\n# nodes 4 directed 1\n  1 2  \n# the nodes are cities\n3\n")
+    header, rows = read_rows(path, "ids", lambda fields, header: [int(x) for x in fields],
+                             keys=("nodes", "directed"))
+    assert header == {"nodes": 4, "directed": 1}
+    assert rows == [[1, 2], [3]]
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("1\n2 x\n", 2, "expected 'ids', got '2 x'"),
+    ("# nodes -1\n", 1, "expected '# nodes N'"),
+    ("1\n# nodes 3\n", 2, "the header must come before the first row"),
+    ("1\nbad\xff\n", 2, "expected 'ids'"),
+], ids=["token", "negative-count", "late-header", "undecodable-byte"])
+def test_read_rows_errors_name_path_and_line(tmp_path, text, lineno, message):
+    path = tmp_path / "rows.txt"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(t.ContractViolation, match=re.escape(f"{path}:{lineno}: {message}")):
+        read_rows(path, "ids", lambda fields, header: [int(x) for x in fields], keys=("nodes",))
+
+
+def test_read_dense_rejects_gaps_and_repeats(tmp_path):
+    path = tmp_path / "dense.txt"
+    path.write_text("1 b\n0 a\n")
+    assert read_dense(path, "id name", str) == ["a", "b"]
+    for text in ("0 a\n0 b\n", "0 a\n2 b\n", "-1 a\n"):
+        path.write_text(text)
+        with pytest.raises(t.ContractViolation, match="exactly once"):
+            read_dense(path, "id name", str)
+
+
+def test_write_rows_round_trips_through_read_rows(tmp_path):
+    path = tmp_path / "rows.txt"
+    rows = [(0, 1, 0.1), (2, 3, 1e-300)]
+    write_rows(path, rows, {"nodes": 4})
+    assert path.read_text() == "# nodes 4\n0 1 0.1\n2 3 1e-300\n"
+    header, back = read_rows(path, "u v w", lambda f, h: (int(f[0]), int(f[1]), float(f[2])),
+                             keys=("nodes",))
+    assert header == {"nodes": 4} and back == rows

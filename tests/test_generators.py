@@ -158,3 +158,12 @@ def test_ic_exact_spread_rejects_big_graphs():
 def test_generators_deterministic_under_seed():
     assert t.gen_er(40, 0.3, 7).edges == t.gen_er(40, 0.3, 7).edges
     assert t.gen_ba(40, 3, 2, 7).edges == t.gen_ba(40, 3, 2, 7).edges
+
+
+def test_generators_reject_negative_sizes_and_weights():
+    with pytest.raises(t.ContractViolation):
+        t.gen_er(-5, 0.5, 1)
+    graph = t.gen_er(4, 1.0, 1)
+    for lo, hi in ((-1.0, 1.0), (1.0, 0.5), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(t.ContractViolation):
+            t.assign_weights_uniform(graph, lo, hi, 2)

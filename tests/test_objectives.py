@@ -5,6 +5,8 @@ import pytest
 
 import twinopt as t
 import twinopt.objectives as objmod
+from twinopt import cli
+from twinopt.constraints import load_partition, save_partition
 from twinopt.objectives import (
     load_costs,
     load_edge_list,
@@ -178,12 +180,88 @@ def test_edge_list_round_trip(tmp_path):
     assert loaded.directed == graph.directed
 
 
-@pytest.mark.parametrize("line", ["0 1", "0 1 x", "0 1 0.5 7"])
-def test_edge_list_malformed_line_names_path_and_line(tmp_path, line):
+# loader, a well-formed row, the expected row shape (None: a range error)
+LOADERS = {
+    "edges": (load_edge_list, "0 2 1.0", "u v w"),
+    "rrsets": (load_rr_sets, "0 2", "node ids"),
+    "costs": (load_costs, "0 1.5", "node cost"),
+    "partition": (load_partition, "0 0", "element_id part_id"),
+    "weights": (cli._load_modular_weights, "1.5", "weight"),
+}
+
+
+@pytest.mark.parametrize("kind, line, shape", [
+    ("edges", "0 1", "u v w"),
+    ("edges", "0 1 x", "u v w"),
+    ("edges", "0 1 0.5 7", "u v w"),
+    ("edges", "0 1 -0.5", None),
+    ("edges", "0 3 0.5", None),
+    ("rrsets", "1 x", "node ids"),
+    ("rrsets", "1 3", None),
+    ("rrsets", "-1", None),
+    ("costs", "1", "node cost"),
+    ("costs", "1 abc", "node cost"),
+    ("partition", "1 0 2", "element_id part_id"),
+    ("weights", "abc", "weight"),
+    ("weights", "1.0 2.0", "weight"),
+], ids=["0 1", "0 1 x", "0 1 0.5 7", "edge-negative-weight", "edge-id-past-header",
+        "rrsets-token", "rrsets-id-past-header", "rrsets-negative-id", "costs-one-field",
+        "costs-token", "partition-three-fields", "weights-token", "weights-two-fields"])
+def test_edge_list_malformed_line_names_path_and_line(tmp_path, kind, line, shape):
+    loader, good, _ = LOADERS[kind]
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(f"# nodes 3 directed 0\n{good}\n{line}\n")
+    expected = f"{path}:3: " + (f"expected {shape!r}, got {line!r}" if shape else "")
+    with pytest.raises(t.ContractViolation, match=re.escape(expected)):
+        loader(path)
+
+
+@pytest.mark.parametrize("kind", ["edges", "rrsets"])
+@pytest.mark.parametrize("header", ["# nodes abc", "# nodes", "# nodes -2"])
+def test_malformed_header_names_path_and_line(tmp_path, kind, header):
+    loader, good, _ = LOADERS[kind]
+    path = tmp_path / "h.txt"
+    path.write_text(f"# a comment naming nodes\n{header}\n{good}\n")
+    with pytest.raises(t.ContractViolation, match=re.escape(f"{path}:2: expected '# nodes N")):
+        loader(path)
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_loaders_skip_blank_and_comment_lines(tmp_path, kind):
+    loader, good, _ = LOADERS[kind]
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_text(f"{good}\n")
+    commented.write_text(f"\n# a comment\n   \n  {good}  \n#\n\n")
+    assert loader(commented) == loader(plain)
+
+
+def test_header_must_come_before_rows(tmp_path):
     path = tmp_path / "g.txt"
-    path.write_text(f"# nodes 3 directed 0\n0 2 1.0\n{line}\n")
-    with pytest.raises(t.ContractViolation, match=re.escape(f"{path}:3:")):
+    path.write_text("0 1 1.0\n# nodes 5\n")
+    with pytest.raises(t.ContractViolation, match=re.escape(f"{path}:2: the header")):
         load_edge_list(path)
+
+
+def test_headerless_files_take_n_from_the_largest_id(tmp_path):
+    graph_path, rr_path = tmp_path / "g.txt", tmp_path / "rr.txt"
+    graph_path.write_text("0 4 1.0\n2 1 0.5\n")
+    rr_path.write_text("3\n0 6\n")
+    assert load_edge_list(graph_path).n_nodes == 5
+    assert load_rr_sets(rr_path).n_nodes == 7
+    graph_path.write_text("# nodes 9\n0 4 1.0\n")
+    assert load_edge_list(graph_path).n_nodes == 9
+
+
+def test_writers_keep_the_text_format(tmp_path):
+    path = tmp_path / "out.txt"
+    save_edge_list(path, t.WeightedGraph(4, [(0, 1, 0.1), (2, 3, 1.0)], directed=True))
+    assert path.read_text() == "# nodes 4 directed 1\n0 1 0.1\n2 3 1.0\n"
+    save_rr_sets(path, t.RRSetCollection(6, [0b101, 0b100000]))
+    assert path.read_text() == "# nodes 6\n0 2\n5\n"
+    save_costs(path, [0.25, 1 / 3])
+    assert path.read_text() == f"0 0.25\n1 {1 / 3!r}\n"
+    save_partition(path, [2, 0, 1])
+    assert path.read_text() == "0 2\n1 0\n2 1\n"
 
 
 def test_rr_sets_round_trip(tmp_path):
@@ -200,6 +278,25 @@ def test_costs_round_trip(tmp_path):
     path = tmp_path / "c.txt"
     save_costs(path, [0.25, 1.5, 0.0])
     assert load_costs(path) == [0.25, 1.5, 0.0]
+
+
+@pytest.mark.parametrize("text", ["0 1.0\n2 1.0\n", "0 1.0\n1 1.0\n1 2.0\n", "1 1.0\n"],
+                         ids=["missing", "repeated", "shifted"])
+def test_costs_must_cover_nodes_exactly_once(tmp_path, text):
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    with pytest.raises(t.ContractViolation, match="exactly once"):
+        load_costs(path)
+
+
+def test_marketing_rejects_budget_below_total_cost():
+    z = [t.RRSetCollection(2, [0b01]), t.RRSetCollection(2, [0b10])]
+    assert t.MarketingObjective(z, [0.5, 1.0], budget=3.0).budget == 3.0
+    for budget in (2.999, -1.0, float("nan")):
+        with pytest.raises(t.ContractViolation, match="budget"):
+            t.MarketingObjective(z, [0.5, 1.0], budget=budget)
+    with pytest.raises(t.ContractViolation, match="costs"):
+        t.MarketingObjective(z, [0.5, float("nan")])
 
 
 def test_graph_validate_rejects_bad_edges():
