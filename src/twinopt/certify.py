@@ -1,18 +1,22 @@
 """Mechanized checks of the charging argument behind the twin-set solvers.
 
-Given a finished run, its insertion log, and an exactly-optimal set, this
-module classifies the optimal elements against the log, rebuilds the
-backward-sweep charging maps into each side, and verifies every
-inequality the approximation guarantee rests on.  A failure here means a
-bug in a solver, a constraint, or an objective, not a tight instance.
+Given a finished run's report and an exactly-optimal set, this module
+classifies the optimal elements against the report's insertion log,
+rebuilds the backward-sweep charging maps into each side, and verifies
+every inequality the approximation guarantee rests on.  Which guarantee
+applies (exact or thresholded, with its epsilon and smallest bar) is read
+from the report.  A failure here means a bug in a solver, a constraint,
+or an objective, not a tight instance.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import ContractViolation, InsertionLog, RunReport, ValueOracle, bitmask, members
+from .core import (CallableOracle, ContractViolation, InsertionLog, RunReport, ValueOracle,
+                   bitmask, members)
 
 
 class CertificationError(RuntimeError):
@@ -38,6 +42,17 @@ class ClassifiedOptimal:
     o4: int = 0
     o5: int = 0
     o6: int = 0
+
+    @property
+    def pools(self) -> tuple[int, int]:
+        """Per side, the optimal elements its charging map must cover."""
+        return (self.o1_plus | self.o1_minus | self.o2_minus | self.o3,
+                self.o1_minus | self.o2_plus | self.o2_minus | self.o4)
+
+    @property
+    def identities(self) -> tuple[int, int]:
+        """Per side, the optimal elements its charging map sends to themselves."""
+        return self.o1_plus | self.o1_minus, self.o2_plus | self.o2_minus
 
     def to_dict(self) -> dict:
         return {name: members(getattr(self, name)) for name in
@@ -75,10 +90,19 @@ class InequalityRecord:
                 "slack": self.slack, "holds": self.holds}
 
 
-def classify(log: InsertionLog, optimal: int, constraint) -> ClassifiedOptimal:
-    """Assign each optimal element to its class given a finished run's log."""
-    s1, s2 = log.replay()
-    pre = log.pre_masks()
+def _variant(report: RunReport) -> tuple[str, float, float | None]:
+    """The guarantee a run is certified against: ("threshold", epsilon,
+    smallest bar tested) for twin_greedy_fast, ("exact", 0.0, None) else."""
+    if report.algorithm != "twin_greedy_fast":
+        return "exact", 0.0, None
+    params = report.parameters
+    return "threshold", float(params.get("epsilon", 0.0)), params.get("tau_min")
+
+
+def classify(report: RunReport, optimal: int, constraint) -> ClassifiedOptimal:
+    """Assign each optimal element to its class given a finished run."""
+    s1, s2 = report.s1, report.s2
+    pre = report.log.pre_masks()
     cls = ClassifiedOptimal()
     for e in members(optimal & s1):
         if constraint.is_independent(pre[e][1] | (1 << e)):
@@ -106,9 +130,9 @@ def _sweep(side_elements: list[int], pool: int, identity: int, constraint, p: in
 
     Walks the side from its last insertion to its first.  At step j the
     addable pool elements against the side's length-(j-1) prefix form
-    A_j; identity-reserved elements charge to themselves, everything else
-    charges to the step's own side element, at most p per target.  The
-    pool must be exhausted when the sweep ends.
+    A_j.  An identity-reserved side element u_j takes itself plus the
+    first p-1 others of A_j; any other step takes the first p of A_j.
+    The pool must be exhausted when the sweep ends.
     """
     mapping: dict[int, int] = {}
     remaining = pool
@@ -117,28 +141,13 @@ def _sweep(side_elements: list[int], pool: int, identity: int, constraint, p: in
         prefix = bitmask(side_elements[: j - 1])
         a_j = [x for x in members(remaining & ~prefix)
                if constraint.is_independent(prefix | (1 << x))]
-        if p == 1:
-            if (identity >> u_j) & 1:
-                if u_j not in a_j:
-                    raise CertificationError(
-                        f"identity element {u_j} unavailable at its own step")
-                chosen = [u_j]
-            elif a_j:
-                chosen = [a_j[0]]
-            else:
-                chosen = []
+        if (identity >> u_j) & 1:
+            if u_j not in a_j:
+                raise CertificationError(
+                    f"identity element {u_j} unavailable at its own step")
+            chosen = [u_j] + [x for x in a_j if x != u_j][: p - 1]
         else:
-            if len(a_j) <= p:
-                chosen = a_j
-            elif (identity >> u_j) & 1:
-                if u_j not in a_j:
-                    raise CertificationError(
-                        f"identity element {u_j} unavailable at its own step")
-                chosen = [u_j] + [x for x in a_j if x != u_j][: p - 1]
-            else:
-                chosen = a_j[:p]
-            if (identity >> u_j) & 1 and u_j not in chosen:
-                raise CertificationError(f"identity element {u_j} displaced")
+            chosen = a_j[:p]
         for x in chosen:
             mapping[x] = u_j
             remaining &= ~(1 << x)
@@ -148,37 +157,28 @@ def _sweep(side_elements: list[int], pool: int, identity: int, constraint, p: in
     return mapping
 
 
-def build_pi(log: InsertionLog, classes: ClassifiedOptimal, constraint, p: int = 1) -> PiMapping:
+def build_pi(report: RunReport, classes: ClassifiedOptimal, constraint, p: int = 1) -> PiMapping:
     """Construct both charging maps; raises CertificationError on failure."""
     if p < 1:
         raise ContractViolation("p must be >= 1")
-    pool1 = classes.o1_plus | classes.o1_minus | classes.o2_minus | classes.o3
-    pool2 = classes.o1_minus | classes.o2_plus | classes.o2_minus | classes.o4
-    pi1 = _sweep(log.side_elements(1), pool1, classes.o1_plus | classes.o1_minus,
-                 constraint, p)
-    pi2 = _sweep(log.side_elements(2), pool2, classes.o2_plus | classes.o2_minus,
-                 constraint, p)
+    pi1, pi2 = (_sweep(report.log.side_elements(side), classes.pools[side - 1],
+                       classes.identities[side - 1], constraint, p) for side in (1, 2))
     return PiMapping(pi1=pi1, pi2=pi2)
 
 
-def check_pi_properties(log: InsertionLog, classes: ClassifiedOptimal, pi: PiMapping,
+def check_pi_properties(report: RunReport, classes: ClassifiedOptimal, pi: PiMapping,
                         constraint, p: int = 1) -> list[tuple[str, bool]]:
     """Verify domain coverage, feasibility at the target's moment, identity
     on the prescribed subsets, and the preimage cap."""
-    s1, s2 = log.replay()
-    pre = log.pre_masks()
+    pre = report.log.pre_masks()
     results = []
-    for side, mapping, pool, identity, side_mask, pre_idx in (
-        (1, pi.pi1, classes.o1_plus | classes.o1_minus | classes.o2_minus | classes.o3,
-         classes.o1_plus | classes.o1_minus, s1, 0),
-        (2, pi.pi2, classes.o1_minus | classes.o2_plus | classes.o2_minus | classes.o4,
-         classes.o2_plus | classes.o2_minus, s2, 1),
-    ):
-        results.append((f"pi{side}_domain", bitmask(mapping.keys()) == pool))
+    for side, mapping, side_mask in ((1, pi.pi1, report.s1), (2, pi.pi2, report.s2)):
+        results.append((f"pi{side}_domain", bitmask(mapping.keys()) == classes.pools[side - 1]))
         results.append((f"pi{side}_targets", all((side_mask >> t) & 1 for t in mapping.values())))
-        results.append((f"pi{side}_identity", all(mapping.get(e) == e for e in members(identity))))
+        results.append((f"pi{side}_identity", all(
+            mapping.get(e) == e for e in members(classes.identities[side - 1]))))
         feasible = all(
-            constraint.is_independent(pre[t][pre_idx] | (1 << e))
+            constraint.is_independent(pre[t][side - 1] | (1 << e))
             for e, t in mapping.items()
         )
         results.append((f"pi{side}_feasible_at_target", feasible))
@@ -187,21 +187,18 @@ def check_pi_properties(log: InsertionLog, classes: ClassifiedOptimal, pi: PiMap
     return results
 
 
-def check_gain_bounds(f: ValueOracle, log: InsertionLog, classes: ClassifiedOptimal,
-                      pi: PiMapping, variant: str = "exact", epsilon: float = 0.0,
-                      tol: float = 1e-9, _val=None) -> list[InequalityRecord]:
+def check_gain_bounds(f: ValueOracle, report: RunReport, classes: ClassifiedOptimal,
+                      pi: PiMapping, tol: float = 1e-9) -> list[InequalityRecord]:
     """The six class-wise gain inequalities.
 
     Each bounds the marginal value of one optimal class against a side by
     the logged gains of its charged targets; in the threshold variant the
     minus/outside classes pick up a (1+epsilon) factor.
     """
-    if variant not in ("exact", "threshold"):
-        raise ContractViolation(f"unknown variant {variant!r}")
-    val = _val or (lambda mask: f.evaluate(mask))
-    s1, s2 = log.replay()
-    gains = log.gains()
-    kappa = 1.0 + epsilon if variant == "threshold" else 1.0
+    _, epsilon, _ = _variant(report)
+    s1, s2 = report.s1, report.s2
+    gains = report.log.gains()
+    kappa = 1.0 + epsilon
     rows = [
         ("o1_plus_vs_s2", classes.o1_plus, s2, pi.pi1, 1.0),
         ("o2_plus_vs_s1", classes.o2_plus, s1, pi.pi2, 1.0),
@@ -215,49 +212,47 @@ def check_gain_bounds(f: ValueOracle, log: InsertionLog, classes: ClassifiedOpti
         if cls_mask == 0:
             records.append(InequalityRecord(name, 0.0, 0.0, True))
             continue
-        lhs = val(base | cls_mask) - val(base)
+        lhs = f.evaluate(base | cls_mask) - f.evaluate(base)
         rhs = factor * sum(gains[mapping[e]] for e in members(cls_mask))
         records.append(InequalityRecord(name, lhs, rhs, lhs <= rhs + tol))
     return records
 
 
-def check_residuals(f: ValueOracle, log: InsertionLog, classes: ClassifiedOptimal,
-                    variant: str = "exact", tau_min: float | None = None,
-                    tol: float = 1e-9, _val=None) -> list[InequalityRecord]:
+def check_residuals(f: ValueOracle, report: RunReport, classes: ClassifiedOptimal,
+                    tol: float = 1e-9) -> list[InequalityRecord]:
     """Leftover optimal elements must have been rejected for cause.
 
     Exact variant: their gain on the side they fit is non-positive.
     Threshold variant: that gain is below the smallest bar tested.
     """
-    val = _val or (lambda mask: f.evaluate(mask))
-    s1, s2 = log.replay()
-    bound = 0.0 if variant == "exact" or tau_min is None else tau_min
+    _, _, tau_min = _variant(report)
+    bound = 0.0 if tau_min is None else tau_min
     records = []
-    for name, cls_mask, base in (("o5_vs_s1", classes.o5, s1), ("o6_vs_s2", classes.o6, s2)):
+    for name, cls_mask, base in (("o5_vs_s1", classes.o5, report.s1),
+                                 ("o6_vs_s2", classes.o6, report.s2)):
         if cls_mask == 0:
             records.append(InequalityRecord(name, 0.0, bound, True))
             continue
-        fbase = val(base)
-        worst = max(val(base | (1 << e)) - fbase for e in members(cls_mask))
+        fbase = f.evaluate(base)
+        worst = max(f.evaluate(base | (1 << e)) - fbase for e in members(cls_mask))
         records.append(InequalityRecord(name, worst, bound, worst <= bound + tol))
     return records
 
 
-def check_log_gains(f: ValueOracle, log: InsertionLog, tol: float = 1e-9, _val=None):
+def check_log_gains(f: ValueOracle, log: InsertionLog, tol: float = 1e-9):
     """Replay every insertion and compare the recorded gain."""
-    val = _val or (lambda mask: f.evaluate(mask))
     pre = log.pre_masks()
     worst = 0.0
     for ent in log.entries:
         base = pre[ent.element][ent.side - 1]
-        recomputed = val(base | (1 << ent.element)) - val(base)
+        recomputed = f.evaluate(base | (1 << ent.element)) - f.evaluate(base)
         worst = max(worst, abs(recomputed - ent.gain))
     return InequalityRecord("log_gain_replay", worst, 0.0, worst <= tol)
 
 
-def check_global_bound(report: RunReport, optimal_value: float, variant: str = "exact",
-                       epsilon: float = 0.0, p: int = 1, tol: float = 1e-9):
+def check_global_bound(report: RunReport, optimal_value: float, p: int = 1, tol: float = 1e-9):
     """The end-to-end value inequality and the approximation ratio it implies."""
+    variant, epsilon, _ = _variant(report)
     fs = report.f_s1 + report.f_s2
     if variant == "exact":
         combined = InequalityRecord("optimal_le_2f1_plus_2f2", optimal_value, 2.0 * fs,
@@ -336,29 +331,24 @@ class CertificationReport:
 
 def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
                 optimal_value: float, p: int = 1, tol: float = 1e-9) -> CertificationReport:
-    """Run the whole certification pipeline for one finished run."""
-    variant = "threshold" if report.algorithm == "twin_greedy_fast" else "exact"
-    epsilon = float(report.parameters.get("epsilon", 0.0)) if variant == "threshold" else 0.0
-    tau_min = report.parameters.get("tau_min") if variant == "threshold" else None
+    """Run the whole certification pipeline for one finished run.
 
+    The checks trust the report's sides, so a log that is malformed or
+    does not replay to them raises CertificationError.
+    """
+    try:
+        report.log.validate()
+    except ContractViolation as exc:
+        raise CertificationError(f"malformed insertion log: {exc}") from None
+    if report.log.replay() != (report.s1, report.s2):
+        raise CertificationError("the insertion log does not replay to the reported sides")
+    variant, epsilon, _ = _variant(report)
     q0 = f.query_count
-    cache: dict[int, float] = {}
-
-    def val(mask):
-        if mask not in cache:
-            cache[mask] = f.evaluate(mask)
-        return cache[mask]
-
-    classes = classify(report.log, optimal, constraint)
-    pi = build_pi(report.log, classes, constraint, p=p)
-    structural = check_pi_properties(report.log, classes, pi, constraint, p=p)
-    inequalities = check_gain_bounds(f, report.log, classes, pi, variant=variant,
-                                     epsilon=epsilon, tol=tol, _val=val)
-    residuals = check_residuals(f, report.log, classes, variant=variant,
-                                tau_min=tau_min, tol=tol, _val=val)
-    gain_check = check_log_gains(f, report.log, tol=tol, _val=val)
-    global_check, ratio_check, degenerate = check_global_bound(
-        report, optimal_value, variant=variant, epsilon=epsilon, p=p, tol=tol)
+    cached = CallableOracle(functools.cache(f.evaluate))
+    classes = classify(report, optimal, constraint)
+    pi = build_pi(report, classes, constraint, p=p)
+    global_check, ratio_check, degenerate = check_global_bound(report, optimal_value,
+                                                               p=p, tol=tol)
     return CertificationReport(
         algorithm=report.algorithm,
         variant=variant,
@@ -368,10 +358,10 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
         optimal_value=optimal_value,
         classes=classes,
         pi=pi,
-        structural=structural,
-        inequalities=inequalities,
-        residuals=residuals,
-        log_gain_check=gain_check,
+        structural=check_pi_properties(report, classes, pi, constraint, p=p),
+        inequalities=check_gain_bounds(cached, report, classes, pi, tol=tol),
+        residuals=check_residuals(cached, report, classes, tol=tol),
+        log_gain_check=check_log_gains(cached, report.log, tol=tol),
         global_check=global_check,
         ratio_check=ratio_check,
         degenerate_check=degenerate,

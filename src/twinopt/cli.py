@@ -114,28 +114,26 @@ def _load_modular_weights(path):
 
 
 def build_objective(args):
-    """Returns (oracle factory, ground, input file hashes)."""
+    """Returns (oracle, input file hashes); the ground set is 0..oracle.n-1."""
     if args.objective == "cut":
         if not args.graph:
             raise UsageError("cut objective needs --graph")
-        inputs, graph = [args.graph], obj.load_edge_list(args.graph, directed=False)
-        factory, n = (lambda: obj.CutMonitorObjective(graph)), graph.n_nodes
+        inputs = [args.graph]
+        f = obj.CutMonitorObjective(obj.load_edge_list(args.graph, directed=False))
     elif args.objective == "modular":
         if not args.weights_file:
             raise UsageError("modular objective needs --weights-file")
-        inputs, weights = [args.weights_file], _load_modular_weights(args.weights_file)
-        factory, n = (lambda: obj.ModularObjective(weights)), len(weights)
+        inputs = [args.weights_file]
+        f = obj.ModularObjective(_load_modular_weights(args.weights_file))
     elif args.objective == "marketing":
         if not (args.rrsets and args.costs):
             raise UsageError("marketing objective needs --rrsets and --costs")
         inputs = args.rrsets.split(",") + [args.costs]
-        collections = [obj.load_rr_sets(p) for p in inputs[:-1]]
-        costs, budget = obj.load_costs(args.costs), args.budget
-        factory = (lambda: obj.MarketingObjective(collections, costs, budget))
-        n = collections[0].n_nodes * len(collections)
+        f = obj.MarketingObjective([obj.load_rr_sets(p) for p in inputs[:-1]],
+                                   obj.load_costs(args.costs), args.budget)
     else:
         raise UsageError(f"unknown objective {args.objective!r}")
-    return factory, GroundSet(n), {p: _sha256(p) for p in inputs}
+    return f, {p: _sha256(p) for p in inputs}
 
 
 def _parse_list(flag, text, kind, count=None):
@@ -224,9 +222,9 @@ def cmd_gen_rrsets(args) -> int:
 
 def cmd_run(args) -> int:
     seed = _master_seed(args.seed)
-    factory, ground, hashes = build_objective(args)
-    constraint = parse_constraint_spec(args.constraint, ground.n)
-    report = solve(args.algo, factory(), constraint, ground,
+    f, hashes = build_objective(args)
+    constraint = parse_constraint_spec(args.constraint, f.n)
+    report = solve(args.algo, f, constraint, GroundSet(f.n),
                    SolverParams(epsilon=args.epsilon, q=args.q, seed=seed))
     payload = report.to_dict(include_timing=not args.no_timing)
     payload["invocation"] = {
@@ -245,10 +243,9 @@ def cmd_run(args) -> int:
 
 def _sweep_cell(task):
     """One (algorithm, axis value, rep) sweep cell; runs in a worker."""
-    graph = task["graph"]
-    ground = GroundSet(graph.n_nodes)
-    constraint = parse_constraint_spec(task["constraint"], ground.n)
-    report = solve(task["algo"], obj.CutMonitorObjective(graph), constraint, ground,
+    f = task["f"]
+    constraint = parse_constraint_spec(task["constraint"], f.n)
+    report = solve(task["algo"], f, constraint, GroundSet(f.n),
                    SolverParams(epsilon=task["epsilon"], q=task["q"], seed=task["seed"]))
     payload = report.to_dict(include_timing=task["timing"])
     return _csv_row(task["algo"], task["axis"], task["rep"], payload)
@@ -258,7 +255,7 @@ def cmd_sweep(args) -> int:
     seed = _master_seed(args.seed)
     axis_values = _parse_list("--values", args.values, float if args.axis == "epsilon" else int)
     algos = args.algos.split(",")
-    graph = obj.load_edge_list(args.graph, directed=False)
+    f, hashes = build_objective(args)
     tasks = []
     for ai, axis_value in enumerate(axis_values):
         if args.axis == "k":
@@ -271,7 +268,7 @@ def cmd_sweep(args) -> int:
                 epsilon = axis_value if (args.axis == "epsilon" and algo == "twinfast") \
                     else args.epsilon
                 tasks.append({
-                    "graph": graph, "constraint": spec, "algo": algo,
+                    "f": f, "constraint": spec, "algo": algo,
                     "axis": axis_value, "rep": rep, "epsilon": epsilon, "q": args.q,
                     "seed": seed * 100000 + ai * 1000 + rep,
                     "timing": not args.no_timing,
@@ -293,7 +290,7 @@ def cmd_sweep(args) -> int:
                        "jobs": args.jobs},
         "seed": seed,
         "rng": gen.RNG_ID,
-        "input_hashes": {args.graph: _sha256(args.graph)},
+        "input_hashes": hashes,
         "cells": len(rows),
         "out": args.out,
     })
@@ -357,29 +354,27 @@ def _write_svg(path, ylabel, lines):
 
 def cmd_certify(args) -> int:
     seed = _master_seed(args.seed)
+    if args.instances < 1:
+        raise UsageError(f"--instances must be >= 1, got {args.instances}")
+    if not 4 <= args.n_max <= 20:
+        raise UsageError(f"--n-max must be in 4..20, got {args.n_max}")
+    if args.p < 1:
+        raise UsageError(f"--p must be >= 1, got {args.p}")
     p = args.p if args.constraint == "psystem" else 1
+    kind = f"psystem:p={p}," if args.constraint == "psystem" else "partition:"
     algos = ["twin", "twinfast"] if args.algo == "both" else [args.algo]
     records = []
     violations = 0
     for idx in range(args.instances):
         inst_seed = seed * 1_000_003 + idx
-        n = 4 + (idx % max(1, args.n_max - 3))
+        n = 4 + idx % (args.n_max - 3)
         graph = gen.assign_weights_uniform(gen.gen_er(n, 0.5, inst_seed), 0.0, 1.0,
                                            inst_seed + 1)
         ground = GroundSet(n)
-
-        def fresh_constraint():
-            if args.constraint == "psystem":
-                mats = [cons.PartitionMatroid(gen.assign_groups(n, 2, inst_seed + 2 + i), 2)
-                        for i in range(p)]
-                return cons.IntersectionSystem(mats)
-            return cons.PartitionMatroid(gen.assign_groups(n, 2, inst_seed + 2), 2)
-
-        opt_oracle = obj.CutMonitorObjective(graph)
-        optimum = exact_max(opt_oracle, fresh_constraint(), ground)
+        oracle = obj.CutMonitorObjective(graph)
+        constraint = parse_constraint_spec(f"{kind}cap=2,h=2,seed={inst_seed + 2}", n)
+        optimum = exact_max(oracle, constraint, ground)
         for algo in algos:
-            oracle = obj.CutMonitorObjective(graph)
-            constraint = fresh_constraint()
             report = solve(algo, oracle, constraint, ground, SolverParams(epsilon=args.epsilon))
             try:
                 cert = certify_mod.certify_run(oracle, constraint, report,
@@ -475,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--svg", help="prefix for queries/time/utility charts")
     s.add_argument("--no-timing", action="store_true")
-    s.set_defaults(func=cmd_sweep)
+    s.set_defaults(func=cmd_sweep, objective="cut")
 
     c = sub.add_parser("certify", help="certify solver runs on random instances")
     c.add_argument("--instances", type=int, default=100)

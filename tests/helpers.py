@@ -76,6 +76,18 @@ def coverage_instance(n, seed, universe=14):
     return ground, oracle, constraint
 
 
+def log_report(n, entries):
+    """A twin_greedy RunReport for a hand-written insertion log of
+    (element, side, gain) triples; each side's value is its gain sum."""
+    log = t.InsertionLog()
+    for element, side, gain in entries:
+        log.append(element=element, side=side, gain=gain)
+    s1, s2 = log.replay()
+    f1, f2 = (sum(g for _, side, g in entries if side == s) for s in (1, 2))
+    return t.RunReport("twin_greedy", n, {}, s1, s2, s1 if f1 >= f2 else s2, f1, f2,
+                       max(f1, f2), log, 0, 0, 0.0)
+
+
 def twin_budget(n, s1_size, s2_size):
     return 2 * n * (s1_size + s2_size + 1) + n
 

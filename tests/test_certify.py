@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 import twinopt as t
 from twinopt.certify import (
     check_log_gains,
@@ -11,22 +13,18 @@ import helpers
 
 
 def test_classify_optimal_equals_side_one():
-    log = t.InsertionLog()
-    log.append(element=0, side=1, gain=2.0)
-    log.append(element=2, side=1, gain=1.0)
+    report = helpers.log_report(4, [(0, 1, 2.0), (2, 1, 1.0)])
     constraint = t.UniformMatroid(4, 2)
-    classes = t.classify(log, optimal=0b0101, constraint=constraint)
+    classes = t.classify(report, optimal=0b0101, constraint=constraint)
     assert classes.o1_plus | classes.o1_minus == 0b0101
     assert (classes.o2_plus | classes.o2_minus | classes.o3 | classes.o4
             | classes.o5 | classes.o6) == 0
 
 
 def test_classify_disjoint_optimal_addable_everywhere():
-    log = t.InsertionLog()
-    log.append(element=0, side=1, gain=1.0)
-    log.append(element=1, side=2, gain=1.0)
+    report = helpers.log_report(6, [(0, 1, 1.0), (1, 2, 1.0)])
     constraint = t.UniformMatroid(6, 3)
-    classes = t.classify(log, optimal=0b110000, constraint=constraint)
+    classes = t.classify(report, optimal=0b110000, constraint=constraint)
     assert classes.o3 == 0 and classes.o4 == 0
     assert classes.o5 == 0b110000 and classes.o6 == 0b110000
 
@@ -38,7 +36,7 @@ def test_classify_matches_independent_recomputation():
         graph, ground, oracle, constraint = helpers.cut_instance(n, seed=9900 + idx)
         report = t.twin_greedy(oracle(), constraint(), ground)
         opt = t.exact_max(oracle(), constraint(), ground)
-        classes = t.classify(report.log, opt.solution, constraint())
+        classes = t.classify(report, opt.solution, constraint())
 
         check = constraint()
         order = [(ent.element, ent.side) for ent in report.log.entries]
@@ -68,21 +66,18 @@ def test_classify_matches_independent_recomputation():
 
 
 def test_build_pi_identity_when_optimal_is_side_one():
-    log = t.InsertionLog()
-    log.append(element=1, side=1, gain=3.0)
-    log.append(element=3, side=1, gain=2.0)
+    report = helpers.log_report(5, [(1, 1, 3.0), (3, 1, 2.0)])
     constraint = t.UniformMatroid(5, 2)
-    classes = t.classify(log, optimal=0b01010, constraint=constraint)
-    pi = t.build_pi(log, classes, constraint, p=1)
+    classes = t.classify(report, optimal=0b01010, constraint=constraint)
+    pi = t.build_pi(report, classes, constraint, p=1)
     assert pi.pi1 == {1: 1, 3: 3}
     assert pi.pi2 == {}
 
 
 def test_build_pi_empty_optimal():
-    log = t.InsertionLog()
-    log.append(element=0, side=1, gain=1.0)
-    classes = t.classify(log, optimal=0, constraint=t.UniformMatroid(3, 1))
-    pi = t.build_pi(log, classes, t.UniformMatroid(3, 1), p=1)
+    report = helpers.log_report(3, [(0, 1, 1.0)])
+    classes = t.classify(report, optimal=0, constraint=t.UniformMatroid(3, 1))
+    pi = t.build_pi(report, classes, t.UniformMatroid(3, 1), p=1)
     assert pi.pi1 == {} and pi.pi2 == {}
 
 
@@ -92,8 +87,8 @@ def test_build_pi_completes_and_respects_preimage_caps():
         graph, ground, oracle, constraint = helpers.cut_instance(n, seed=11000 + idx)
         report = t.twin_greedy(oracle(), constraint(), ground)
         opt = t.exact_max(oracle(), constraint(), ground)
-        classes = t.classify(report.log, opt.solution, constraint())
-        pi = t.build_pi(report.log, classes, constraint(), p=1)
+        classes = t.classify(report, opt.solution, constraint())
+        pi = t.build_pi(report, classes, constraint(), p=1)
         for mapping in (pi.pi1, pi.pi2):
             counts = Counter(mapping.values())
             assert all(c == 1 for c in counts.values())  # injective at p=1
@@ -102,10 +97,27 @@ def test_build_pi_completes_and_respects_preimage_caps():
         graph, ground, oracle, constraint = helpers.psystem_instance(n, seed=12000 + idx)
         report = t.twin_greedy_fast(oracle(), constraint(), ground, 0.1)
         opt = t.exact_max(oracle(), constraint(), ground)
-        classes = t.classify(report.log, opt.solution, constraint())
-        pi = t.build_pi(report.log, classes, constraint(), p=2)
+        classes = t.classify(report, opt.solution, constraint())
+        pi = t.build_pi(report, classes, constraint(), p=2)
         for mapping in (pi.pi1, pi.pi2):
             assert max(Counter(mapping.values()).values(), default=0) <= 2
+
+
+def test_charging_maps_and_certificates_at_p3():
+    # an intersection of three partition matroids: the sweep may charge up
+    # to three optimal elements to one side element
+    for idx in range(40):
+        n = 5 + idx % 6
+        graph, ground, oracle, constraint = helpers.psystem_instance(n, seed=12500 + idx, p=3)
+        f, c = oracle(), constraint()
+        opt = t.exact_max(f, c, ground)
+        for report in (t.twin_greedy(f, c, ground), t.twin_greedy_fast(f, c, ground, 0.1)):
+            classes = t.classify(report, opt.solution, c)
+            pi = t.build_pi(report, classes, c, p=3)
+            for mapping in (pi.pi1, pi.pi2):
+                assert max(Counter(mapping.values()).values(), default=0) <= 3
+            cert = t.certify_run(f, c, report, opt.solution, opt.value, p=3)
+            assert cert.ok, cert.to_dict()
 
 
 def test_pi_structural_properties_hold():
@@ -114,20 +126,19 @@ def test_pi_structural_properties_hold():
         graph, ground, oracle, constraint = helpers.cut_instance(n, seed=13000 + idx)
         report = t.twin_greedy(oracle(), constraint(), ground)
         opt = t.exact_max(oracle(), constraint(), ground)
-        classes = t.classify(report.log, opt.solution, constraint())
-        pi = t.build_pi(report.log, classes, constraint(), p=1)
-        results = check_pi_properties(report.log, classes, pi, constraint(), p=1)
+        classes = t.classify(report, opt.solution, constraint())
+        pi = t.build_pi(report, classes, constraint(), p=1)
+        results = check_pi_properties(report, classes, pi, constraint(), p=1)
         assert all(ok for _, ok in results), results
 
 
 def test_gain_bounds_trivial_when_optimal_empty():
-    log = t.InsertionLog()
-    log.append(element=0, side=1, gain=1.0)
     constraint = t.UniformMatroid(2, 1)
-    classes = t.classify(log, optimal=0, constraint=constraint)
-    pi = t.build_pi(log, classes, constraint, p=1)
     f = t.ModularObjective([1.0, 1.0])
-    records = t.check_gain_bounds(f, log, classes, pi)
+    report = t.twin_greedy(f, constraint, t.GroundSet(2))
+    classes = t.classify(report, optimal=0, constraint=constraint)
+    pi = t.build_pi(report, classes, constraint, p=1)
+    records = t.check_gain_bounds(f, report, classes, pi)
     assert all(r.holds and r.lhs == 0.0 and r.rhs == 0.0 for r in records)
 
 
@@ -138,9 +149,9 @@ def test_gain_bounds_hold_for_twin_greedy_runs():
         f = oracle()
         report = t.twin_greedy(f, constraint(), ground)
         opt = t.exact_max(oracle(), constraint(), ground)
-        classes = t.classify(report.log, opt.solution, constraint())
-        pi = t.build_pi(report.log, classes, constraint(), p=1)
-        records = t.check_gain_bounds(f, report.log, classes, pi, variant="exact")
+        classes = t.classify(report, opt.solution, constraint())
+        pi = t.build_pi(report, classes, constraint(), p=1)
+        records = t.check_gain_bounds(f, report, classes, pi)
         assert all(r.holds for r in records), [r.to_dict() for r in records]
 
 
@@ -151,10 +162,9 @@ def test_gain_bounds_hold_for_thresholded_runs():
         f = oracle()
         report = t.twin_greedy_fast(f, constraint(), ground, 0.1)
         opt = t.exact_max(oracle(), constraint(), ground)
-        classes = t.classify(report.log, opt.solution, constraint())
-        pi = t.build_pi(report.log, classes, constraint(), p=1)
-        records = t.check_gain_bounds(f, report.log, classes, pi,
-                                      variant="threshold", epsilon=0.1)
+        classes = t.classify(report, opt.solution, constraint())
+        pi = t.build_pi(report, classes, constraint(), p=1)
+        records = t.check_gain_bounds(f, report, classes, pi)
         assert all(r.holds for r in records), [r.to_dict() for r in records]
 
 
@@ -165,10 +175,10 @@ def test_residuals_and_global_bounds():
         f = oracle()
         report = t.twin_greedy(f, constraint(), ground)
         opt = t.exact_max(oracle(), constraint(), ground)
-        classes = t.classify(report.log, opt.solution, constraint())
-        residuals = check_residuals(f, report.log, classes, variant="exact")
+        classes = t.classify(report, opt.solution, constraint())
+        residuals = check_residuals(f, report, classes)
         assert all(r.holds for r in residuals)
-        combined, ratio, _ = t.check_global_bound(report, opt.value, variant="exact")
+        combined, ratio, _ = t.check_global_bound(report, opt.value)
         assert combined.holds and ratio.holds
 
 
@@ -179,7 +189,7 @@ def test_global_bound_trivial_when_solver_found_optimum():
     report = t.twin_greedy(f, constraint, ground)
     opt = t.exact_max(t.ModularObjective([3.0, 2.0, 1.0]), t.UniformMatroid(3, 1), ground)
     assert report.f_star == opt.value
-    combined, ratio, _ = t.check_global_bound(report, opt.value, variant="exact")
+    combined, ratio, _ = t.check_global_bound(report, opt.value)
     assert combined.holds and ratio.holds
 
 
@@ -187,7 +197,7 @@ def test_degenerate_lone_side_check():
     ground = t.GroundSet(1)
     f = t.ModularObjective([5.0])
     report = t.twin_greedy(f, t.UniformMatroid(1, 1), ground)
-    _, _, degenerate = t.check_global_bound(report, 5.0, variant="exact")
+    _, _, degenerate = t.check_global_bound(report, 5.0)
     assert degenerate is not None and degenerate.holds
 
 
@@ -241,6 +251,32 @@ def test_certify_detects_violations_from_wrong_p():
     assert raised_or_failed > 0
 
 
+def _drop_first(log):
+    del log.entries[0]
+
+
+def _drop_last(log):
+    del log.entries[-1]
+
+
+def _insert_twice(log):
+    first = log.entries[0]
+    log.append(first.element, 3 - first.side, first.gain)  # now on both sides
+
+
+@pytest.mark.parametrize("corrupt", [_drop_first, _drop_last, _insert_twice],
+                         ids=["entry-dropped-first", "entry-dropped-last", "inserted-twice"])
+def test_certify_run_rejects_a_log_that_does_not_replay(corrupt):
+    graph, ground, oracle, constraint = helpers.cut_instance(8, seed=19200)
+    f, c = oracle(), constraint()
+    opt = t.exact_max(f, c, ground)
+    for report in (t.twin_greedy(f, c, ground), t.twin_greedy_fast(f, c, ground, 0.1)):
+        assert t.certify_run(f, c, report, opt.solution, opt.value).ok
+        corrupt(report.log)
+        with pytest.raises(t.CertificationError):
+            t.certify_run(f, c, report, opt.solution, opt.value)
+
+
 def test_log_gain_replay_check():
     graph, ground, oracle, constraint = helpers.cut_instance(8, seed=19000)
     f = oracle()
@@ -261,5 +297,6 @@ def test_certification_report_serializes():
     cert = t.certify_run(f, c, report, opt.solution, opt.value, p=1)
     payload = cert.to_dict()
     assert payload["ok"] is True
+    assert (payload["variant"], payload["epsilon"]) == ("threshold", 0.1)
     assert "pi_preimage_histogram" in payload
     assert len(payload["inequalities"]) == 6

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -212,6 +213,25 @@ def test_certify_command_exit_zero(tmp_path, capsys):
     assert payload["violations"] == 0 and payload["runs"] == 20
 
 
+# sha256 of the `certify --full --seed 3` output.  The digests pin every
+# certificate field, value query counts included, so a refactor of the
+# certifier or the solvers cannot change what certify reports unnoticed.
+CERTIFY_FULL_SHA256 = {
+    "matroid": ([], "ed518f444b9b504d3690b8e85f40b66cc52a13a6233a6cd6e4950ee6cdf99dbd"),
+    "psystem-p2": (["--constraint", "psystem", "--p", "2"],
+                   "25043b925117f80eeb558637995495772743fffbac4d1795c567a3572ba7b9ee"),
+}
+
+
+@pytest.mark.parametrize("flags, digest", CERTIFY_FULL_SHA256.values(),
+                         ids=CERTIFY_FULL_SHA256.keys())
+def test_certify_full_output_is_pinned(tmp_path, capsys, flags, digest):
+    out = tmp_path / "cert.json"
+    assert run_cli(["certify", "--full", "--seed", "3", "--out", str(out)] + flags) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_certify_violation_exit_code(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise t.CertificationError("synthetic failure")
@@ -322,6 +342,16 @@ BAD_INPUTS = {
                       "epsilon"),
     "certify-epsilon": ({}, ["certify", "--instances", "2", "--n-max", "6", "--epsilon", "5"],
                         "epsilon"),
+    "certify-instances-negative": ({}, ["certify", "--instances", "-5", "--out", "@o.txt"],
+                                   "--instances"),
+    "certify-instances-zero": ({}, ["certify", "--instances", "0", "--out", "@o.txt"],
+                               "--instances"),
+    "certify-n-max-below-4": ({}, ["certify", "--instances", "2", "--n-max", "2",
+                                   "--out", "@o.txt"], "--n-max"),
+    "certify-n-max-above-20": ({}, ["certify", "--instances", "2", "--n-max", "21",
+                                    "--out", "@o.txt"], "--n-max"),
+    "certify-p-zero": ({}, ["certify", "--instances", "2", "--constraint", "psystem", "--p", "0",
+                            "--out", "@o.txt"], "--p must be >= 1"),
     "graph-header-not-a-number": ({"g.txt": "# nodes abc\n0 1 1.0\n"}, CUT,
                                   "g.txt:1: expected '# nodes N directed N'"),
     "graph-id-past-header": ({"g.txt": "# nodes 2\n0 1 1.0\n1 2 1.0\n"}, CUT, "g.txt:3:"),
