@@ -37,9 +37,14 @@ class UsageError(Exception):
 
 
 def _master_seed(value):
-    if value is not None:
-        return value
-    return _parse_list("TWINOPT_SEED", os.environ.get("TWINOPT_SEED", "0"), int, count=1)[0]
+    """The --seed flag, else TWINOPT_SEED, else 0; a negative seed is a usage error."""
+    source = "--seed"
+    if value is None:
+        source = "TWINOPT_SEED"
+        value = _parse_list(source, os.environ.get(source, "0"), int, count=1)[0]
+    if value < 0:
+        raise UsageError(f"{source} must be >= 0, got {value}")
+    return value
 
 
 def _sha256(path) -> str:
@@ -253,6 +258,9 @@ def _sweep_cell(task):
 
 def cmd_sweep(args) -> int:
     seed = _master_seed(args.seed)
+    for flag, value in (("--reps", args.reps), ("--jobs", args.jobs)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     axis_values = _parse_list("--values", args.values, float if args.axis == "epsilon" else int)
     algos = args.algos.split(",")
     f, hashes = build_objective(args)

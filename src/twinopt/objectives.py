@@ -178,6 +178,12 @@ class MarketingObjective(ValueOracle):
     set is pinned to 0 rather than B, which keeps the function submodular
     while modelling "no seeds, no campaign, no leftover budget".  B is at
     least the largest seeding cost m * sum(costs), its default, so f >= 0.
+
+    Each product keeps a node -> RR-set cover index (the node-selection
+    layout of TIM/IMM): covers[i][u] is the bitmask of product i's RR sets
+    that contain u.  The sets S_i hits are the OR of its seeds' covers and
+    their count one bit_count, so a query never scans the RR sets and its
+    value equals the `rr_estimate` sum bit for bit.
     """
 
     def __init__(self, collections: list[RRSetCollection], costs, budget: float | None = None):
@@ -187,6 +193,9 @@ class MarketingObjective(ValueOracle):
         n_nodes = collections[0].n_nodes
         if any(c.n_nodes != n_nodes for c in collections):
             raise ContractViolation("collections must share one node set")
+        for i, c in enumerate(collections):
+            if not c.sets:
+                raise ContractViolation(f"product {i} has no sampled RR sets")
         if len(costs) != n_nodes:
             raise ContractViolation("need one cost per node")
         if not all(math.isfinite(c) and c >= 0 for c in costs):
@@ -200,24 +209,42 @@ class MarketingObjective(ValueOracle):
         if not (math.isfinite(self.budget) and self.budget >= max_cost):
             raise ContractViolation(f"budget {self.budget} is below m * sum(costs) = {max_cost}")
         self.n = n_nodes * self.m
+        self._covers = [_cover_index(c.sets, n_nodes) for c in collections]
+        self._sampled = [len(c.sets) for c in collections]
 
     def _value(self, mask: int) -> float:
         if mask >> self.n:
             raise ContractViolation("set contains ids outside node x product range")
         if mask == 0:
             return 0.0
-        per_product = [0] * self.m
+        hit = [0] * self.m  # per product, the RR sets its seeds cover
         cost = 0.0
         for e in members(mask):
             u, i = unpack_seed_id(e, self.m)
-            per_product[i] |= 1 << u
+            hit[i] |= self._covers[i][u]
             cost += self.costs[u]
-        spread = sum(
-            rr_estimate(self.collections[i], per_product[i])
-            for i in range(self.m)
-            if per_product[i]
-        )
+        # a product that covers no set adds exactly 0.0, so summing every
+        # product gives rr_estimate's value bit for bit
+        spread = sum(self.n_nodes * h.bit_count() / s for h, s in zip(hit, self._sampled))
         return spread + (self.budget - cost)
+
+
+def _cover_index(sets: list[int], n_nodes: int) -> list[int]:
+    """For each node u < n_nodes, the bitmask of the indices of `sets` that
+    contain u (ids at or past n_nodes are ignored).
+
+    Transposes the set x node bit matrix with NumPy: byte j of every set
+    becomes one row, and bit plane b of that row, packed, is the cover of
+    node 8j + b.  Nothing larger than the packed sets is allocated."""
+    nbytes = (n_nodes + 7) // 8
+    inside = (1 << n_nodes) - 1
+    raw = np.frombuffer(b"".join((s & inside).to_bytes(nbytes, "little") for s in sets),
+                        dtype=np.uint8).reshape(len(sets), nbytes)
+    cols = np.ascontiguousarray(raw.T)
+    planes = np.stack([np.packbits(cols & (1 << b), axis=1, bitorder="little")
+                       for b in range(8)], axis=1)  # [j, b] = cover of node 8j + b
+    data, width = planes.tobytes(), planes.shape[2]
+    return [int.from_bytes(data[k:k + width], "little") for k in range(0, n_nodes * width, width)]
 
 
 class ModularObjective(ValueOracle):

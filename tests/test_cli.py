@@ -315,6 +315,33 @@ def test_marketing_run_via_cli(tmp_path, capsys):
     assert payload["solution_size"] <= 2
 
 
+# sha256 of `run --objective marketing --no-timing` on a fixed 40-node,
+# 2-product instance, recorded before the marketing value moved to a
+# per-node RR-set cover index: values, logs and query counts are pinned.
+MARKETING_RUN_SHA256 = {
+    "twin": "acdfd8c39242650cd1c497617591d6d585167bf2f6a0c4c1fd2d1ccb3fabfdbd",
+    "twinfast": "28c3314b749076a95bd91ac745d3636d9c182328db2a672e3681d4f91c4f0769",
+    "greedy": "b806b40c9d258588140c05d7e91a500ebb9a845e8833297640443084601c0441",
+}
+
+
+@pytest.mark.parametrize("algo, digest", MARKETING_RUN_SHA256.items(),
+                         ids=MARKETING_RUN_SHA256.keys())
+def test_marketing_run_is_pinned(tmp_path, monkeypatch, capsys, algo, digest):
+    monkeypatch.chdir(tmp_path)  # relative paths: the input hashes are keyed by path
+    assert run_cli(["gen-graph", "--model", "ba", "--n", "40", "--m0", "3", "--m", "2",
+                    "--seed", "5", "--out", "g.txt"]) == 0
+    for i in (1, 2):
+        assert run_cli(["gen-rrsets", "--graph", "g.txt", "--count", "300", "--indegree-probs",
+                        "--seed", str(i), "--out", f"r{i}.txt"]) == 0
+    (tmp_path / "c.txt").write_text("".join(f"{u} {0.5 + (u % 7) / 10}\n" for u in range(40)))
+    assert run_cli(["run", "--algo", algo, "--objective", "marketing", "--rrsets", "r1.txt,r2.txt",
+                    "--costs", "c.txt", "--constraint", "seedmatroid:v=40,m=2,k=5",
+                    "--epsilon", "0.1", "--no-timing", "--out", "out.json"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+
+
 GRAPH_60 = "# nodes 60 directed 0\n0 1 0.5\n2 3 0.25\n"
 RR_3 = "# nodes 3\n0 1\n2\n"
 COSTS_3 = "0 0.5\n1 0.5\n2 0.5\n"
@@ -392,13 +419,40 @@ BAD_INPUTS = {
     "seedmatroid-zero-products": ({"rr.txt": RR_3, "c.txt": COSTS_3},
                                   _swap(MARKETING, "--constraint", "seedmatroid:v=3,m=0,k=1"),
                                   "m >= 1"),
+    "rrsets-empty": ({"rr.txt": "# nodes 3\n", "c.txt": COSTS_3}, MARKETING,
+                     "product 0 has no sampled RR sets"),
+    "run-seed-negative": ({"g.txt": GRAPH_60}, _swap(CUT, "--algo", "samplegreedy")
+                          + ["--seed", "-1", "--out", "@o.txt"], "--seed must be >= 0"),
+    "gen-graph-seed-negative": (
+        {}, ["gen-graph", "--model", "er", "--n", "5", "--p", "0.5", "--seed", "-1",
+             "--out", "@o.txt"], "--seed must be >= 0"),
+    "gen-rrsets-seed-negative": (
+        {"g.txt": GRAPH_60}, ["gen-rrsets", "--graph", "@g.txt", "--count", "5", "--seed", "-1",
+                              "--out", "@o.txt"], "--seed must be >= 0"),
+    "certify-seed-negative": ({}, ["certify", "--instances", "2", "--seed", "-1",
+                                   "--out", "@o.txt"], "--seed must be >= 0"),
+    "seed-environment-negative": ({}, ["TWINOPT_SEED=-1", "gen-graph", "--model", "er", "--n", "5",
+                                       "--p", "0.5", "--out", "@o.txt"],
+                                  "TWINOPT_SEED must be >= 0"),
+    "sweep-reps-negative": ({"g.txt": GRAPH_60}, _swap(_swap(SWEEP, "--algos", "samplegreedy"),
+                                                       "--out", "@o.txt")
+                            + ["--values", "2", "--reps", "-2"], "--reps must be >= 1"),
+    "sweep-reps-zero": ({"g.txt": GRAPH_60}, _swap(SWEEP, "--out", "@o.txt")
+                        + ["--values", "2", "--reps", "0"], "--reps must be >= 1"),
+    "sweep-jobs-negative": ({"g.txt": GRAPH_60}, _swap(SWEEP, "--out", "@o.txt")
+                            + ["--values", "2", "--jobs", "-3"], "--jobs must be >= 1"),
+    "sweep-jobs-zero": ({"g.txt": GRAPH_60}, _swap(SWEEP, "--out", "@o.txt")
+                        + ["--values", "2", "--jobs", "0"], "--jobs must be >= 1"),
 }
 
 
 @pytest.mark.parametrize("files, argv, needle", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_two_without_traceback(tmp_path, capsys, files, argv, needle):
+def test_bad_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys, files, argv, needle):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    while re.fullmatch(r"[A-Z_]+=.*", argv[0]):  # leading NAME=VALUE: an environment variable
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     code = run_cli(argv)
     err = capsys.readouterr().err

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import twinopt as t
 import twinopt.objectives as objmod
@@ -135,6 +137,64 @@ def test_marketing_matches_straight_line_recomputation():
                 expected += n_nodes * hits / len(collections[i].sets)
                 expected -= sum(costs[u] for u in seeds)
         assert f.evaluate(mask) == pytest.approx(expected, abs=1e-9)
+
+
+def _marketing_reference(f, mask):
+    """The marketing value as computed before the cover index: one
+    rr_estimate per seeded product, summed in product order."""
+    if mask == 0:
+        return 0.0
+    per_product = [0] * f.m
+    cost = 0.0
+    for e in t.members(mask):
+        u, i = divmod(e, f.m)
+        per_product[i] |= 1 << u
+        cost += f.costs[u]
+    spread = sum(t.rr_estimate(f.collections[i], per_product[i])
+                 for i in range(f.m) if per_product[i])
+    return spread + (f.budget - cost)
+
+
+@st.composite
+def marketing_instances(draw):
+    """A marketing oracle on random RR sets and the masks to query.  No set
+    of product 0 holds node `cold`, so seeding it gives a product with zero
+    hits; the masks always include the empty set and each product seeded at
+    node n - 1."""
+    n, m = draw(st.integers(1, 70)), draw(st.sampled_from([1, 2, 3]))
+    cold = draw(st.integers(0, n - 1))
+    collections = []
+    for i in range(m):
+        sets = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+        collections.append(t.RRSetCollection(n, [s & ~(1 << cold) if i == 0 else s for s in sets]))
+    costs = draw(st.lists(st.floats(0, 2), min_size=n, max_size=n))
+    budget = draw(st.one_of(st.none(), st.floats(0, 10).map(lambda x: m * sum(costs) + x)))
+    f = t.MarketingObjective(collections, costs, budget)
+    masks = draw(st.lists(st.integers(0, (1 << (n * m)) - 1), min_size=1, max_size=20))
+    masks += [0, 1 << pack_seed_id(cold, 0, m), (1 << pack_seed_id(cold, 0, m)) | masks[-1]]
+    masks += [1 << pack_seed_id(n - 1, i, m) for i in range(m)]
+    return f, masks
+
+
+@given(marketing_instances())
+def test_marketing_value_is_bit_identical_to_rr_estimate(case):
+    f, masks = case
+    for mask in masks:
+        assert f.evaluate(mask) == _marketing_reference(f, mask)
+
+
+def test_marketing_rejects_a_product_without_rr_sets(monkeypatch):
+    z = [t.RRSetCollection(2, [0b01]), t.RRSetCollection(2, [])]
+    with pytest.raises(t.ContractViolation, match="product 1 has no sampled RR sets"):
+        t.MarketingObjective(z, [0.5, 1.0])
+    built = []
+    monkeypatch.setattr(objmod, "_cover_index", lambda *args: built.append(args) or [])
+    for costs, budget in (([0.5], None), ([0.5, 1.0], 1.0), ([0.5, float("nan")], None)):
+        with pytest.raises(t.ContractViolation):
+            t.MarketingObjective(z[:1] * 2, costs, budget)
+    assert built == []  # validation comes before the index is built
+    t.MarketingObjective(z[:1] * 2, [0.5, 1.0])
+    assert len(built) == 2
 
 
 def test_marketing_nonnegative_on_feasible_sets():
