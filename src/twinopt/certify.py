@@ -15,8 +15,9 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import (CallableOracle, ContractViolation, InsertionLog, RunReport, ValueOracle,
-                   bitmask, members)
+from .constraints import rank
+from .core import (CallableOracle, ContractViolation, GroundSet, InsertionLog, RunReport,
+                   ValueOracle, bitmask, members)
 
 
 class CertificationError(RuntimeError):
@@ -334,7 +335,9 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
     """Run the whole certification pipeline for one finished run.
 
     The checks trust the report's sides, so a log that is malformed or
-    does not replay to them raises CertificationError.
+    does not replay to them raises CertificationError.  So does an optimal
+    set larger than p times `rank(constraint)`: that greedy base is within
+    a factor p of every base of a p-set system, so the stated p is wrong.
     """
     try:
         report.log.validate()
@@ -342,6 +345,10 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
         raise CertificationError(f"malformed insertion log: {exc}") from None
     if report.log.replay() != (report.s1, report.s2):
         raise CertificationError("the insertion log does not replay to the reported sides")
+    base = rank(constraint, GroundSet(report.n))
+    if optimal.bit_count() > p * base:
+        raise CertificationError(f"the optimal set has {optimal.bit_count()} elements, more than "
+                                 f"p * rank = {p} * {base}: the constraint is not a {p}-set system")
     variant, epsilon, _ = _variant(report)
     q0 = f.query_count
     cached = CallableOracle(functools.cache(f.evaluate))

@@ -65,15 +65,21 @@ class GroundSet:
 # ---------------------------------------------------------------------------
 # text files
 
+# Largest count a file header may state, and so the most nodes a file may
+# name: a `# nodes N` header sizes per-node lists and bitmasks before any
+# row is checked against it.
+MAX_HEADER_COUNT = 2**24
+
 
 def read_rows(path, shape: str, convert, keys=()) -> tuple[dict[str, int], list]:
     """Header and rows of a whitespace-separated text file.
 
     Blank lines and `#` comments are skipped; a `#` line starting with one
     of `keys` is a header of counts, like `# nodes 5 directed 0`, before
-    any row.  Each other line becomes `convert(fields, header)`.  Errors
-    are raised as ContractViolation `PATH:LINE: ...`, citing `shape` for a
-    line that does not parse (`expected 'node cost', got '1'`)."""
+    any row, and no count may exceed MAX_HEADER_COUNT.  Each other line
+    becomes `convert(fields, header)`.  Errors are raised as
+    ContractViolation `PATH:LINE: ...`, citing `shape` for a line that
+    does not parse (`expected 'node cost', got '1'`)."""
     header: dict[str, int] = {}
     rows = []
     with open(path, errors="replace") as fh:  # undecodable bytes fail to parse
@@ -93,6 +99,9 @@ def read_rows(path, shape: str, convert, keys=()) -> tuple[dict[str, int], list]
                         header[key] = int(words[words.index(key) + 1])
                     if min(header.values()) < 0:
                         raise ValueError
+                    if max(header.values()) > MAX_HEADER_COUNT:
+                        raise ContractViolation(
+                            f"header count {max(header.values())} is above {MAX_HEADER_COUNT}")
             except ContractViolation as exc:
                 raise ContractViolation(f"{path}:{lineno}: {exc}") from None
             except (ValueError, TypeError, IndexError):

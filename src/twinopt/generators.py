@@ -12,10 +12,13 @@ from collections import deque
 
 import numpy as np
 
-from .core import ContractViolation, members
+from .core import ContractViolation, bitmask, members
 from .objectives import RRSetCollection, WeightedGraph
 
 RNG_ID = "numpy-pcg64"
+
+# liveness coins gen_rr_sets draws per block
+_COIN_BLOCK = 128
 
 
 def _rng(seed):
@@ -44,6 +47,8 @@ def gen_ba(n: int, m0: int, m: int, seed: int) -> WeightedGraph:
     """
     if not (1 <= m <= m0 <= n):
         raise ContractViolation("need 1 <= m <= m0 <= n")
+    if m0 < 2 and n > m0:
+        raise ContractViolation("need m0 >= 2 when n > m0: newcomers attach to seed-clique edges")
     rng = _rng(seed)
     edges: list[tuple[int, int, float]] = []
     # degree-weighted sampling via a repeated-endpoint list
@@ -97,11 +102,18 @@ def gen_rr_sets(g: WeightedGraph, count: int, seed: int) -> RRSetCollection:
     flipping each edge's liveness coin the first time it is examined.
     Each edge is examined at most once per sample, so the lazy walk draws
     from the same distribution as materializing a full live-edge graph.
+
+    Coins are drawn `_COIN_BLOCK` at a time, which reads the same doubles
+    as one scalar `rng.random()` per coin.  After each walk the generator
+    is rewound to just past the last coin used, so every root, and every
+    set, is the one a scalar draw per coin gives.
     """
     if count < 1:
         raise ContractViolation("need at least one sample")
     if not g.directed:
         raise ContractViolation("reverse-reachable sampling needs a directed graph")
+    if g.n_nodes < 1:
+        raise ContractViolation("reverse-reachable sampling needs at least one node")
     for u, v, p in g.edges:
         if not 0.0 <= p <= 1.0:
             raise ContractViolation(f"edge ({u},{v}) has probability {p} outside [0,1]")
@@ -110,16 +122,39 @@ def gen_rr_sets(g: WeightedGraph, count: int, seed: int) -> RRSetCollection:
     sets = []
     for _ in range(count):
         root = int(rng.integers(g.n_nodes))
-        mask = 1 << root
-        queue = deque([root])
-        while queue:
-            w = queue.popleft()
+        coins: list[float] = []
+        used = 0
+        seen = {root}
+        queue = [root]
+        for w in queue:  # breadth first: the queue grows while it is read
             for u, p in in_adj[w]:
-                if not (mask >> u) & 1 and rng.random() < p:
-                    mask |= 1 << u
-                    queue.append(u)
-        sets.append(mask)
+                if u not in seen:
+                    if used == len(coins):
+                        if not coins:
+                            start = rng.bit_generator.state
+                        coins += rng.random(_COIN_BLOCK).tolist()
+                    if coins[used] < p:
+                        seen.add(u)
+                        queue.append(u)
+                    used += 1
+        if coins:
+            _rewind(rng.bit_generator, start, used)
+        sets.append(bitmask(queue))
     return RRSetCollection(g.n_nodes, sets, source_seed=seed)
+
+
+def _rewind(bit_generator, start: dict, draws: int) -> None:
+    """Set `bit_generator` to where `draws` doubles drawn from `start` leave it.
+
+    `advance` also clears PCG64's buffered 32-bit half; a double draw
+    never touches it, and the next `integers` root may read it, so it is
+    put back from `start`.
+    """
+    bit_generator.state = start
+    bit_generator.advance(draws)
+    if start["has_uint32"]:
+        bit_generator.state = {**bit_generator.state, "has_uint32": 1,
+                               "uinteger": start["uinteger"]}
 
 
 def ic_exact_spread(g: WeightedGraph, seeds_mask: int) -> float:

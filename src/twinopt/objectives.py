@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ContractViolation, ValueOracle, bitmask, members, read_dense, read_rows, write_rows
+from .core import (MAX_HEADER_COUNT, ContractViolation, ValueOracle, bitmask, members, read_dense,
+                   read_rows, write_rows)
 
 # below this many nodes a Python adjacency scan beats the sparse matvec
 _SPARSE_MIN_NODES = 192
@@ -61,7 +62,7 @@ def save_edge_list(path, graph: WeightedGraph) -> None:
 
 def _edge_row(fields, header):
     u, v, w = fields
-    u, v, w, n = int(u), int(v), float(w), header.get("nodes", math.inf)
+    u, v, w, n = int(u), int(v), float(w), header.get("nodes", MAX_HEADER_COUNT)
     if not (0 <= u < n and 0 <= v < n and 0 <= w < math.inf):
         raise ContractViolation(f"edge {u} {v} {w} needs ids in 0..{n - 1} and a weight >= 0")
     return u, v, w
@@ -156,10 +157,11 @@ def load_rr_sets(path) -> RRSetCollection:
 
 
 def _rr_row(fields, header):
-    mask = bitmask(int(e) for e in fields)  # a negative id fails the shift
-    if mask.bit_length() > header.get("nodes", math.inf):
-        raise ContractViolation(f"node id {mask.bit_length() - 1} is past the header's nodes")
-    return mask
+    ids = list(map(int, fields))
+    n = header.get("nodes", MAX_HEADER_COUNT)
+    if ids and max(ids) >= n:  # checked before a shift allocates a 2**id-bit mask
+        raise ContractViolation(f"node id {max(ids)} is past the {n} nodes")
+    return bitmask(ids)  # a negative id fails the shift
 
 
 def pack_seed_id(node: int, product: int, m: int) -> int:

@@ -170,6 +170,9 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
         params.update(passes=0, tau_min=None, rank=None)
         return _report("twin_greedy_fast", ground, params, s, fval, log, f, constraint, start)
 
+    # r is the size of the greedy base in id order: the rank for a matroid,
+    # and within a factor p of every base of a p-set system, so an optimal
+    # set has at most p*r elements (certify_run checks that bound)
     r = constraint_rank(constraint, ground)
     params["rank"] = r
     tau_floor = epsilon * tau_max / (r * (1.0 + epsilon))

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
+
+import numpy as np
 
 import twinopt as t
 
@@ -104,3 +107,28 @@ def naive_cut(graph, mask):
         if ((mask >> u) & 1) != ((mask >> v) & 1):
             total += w
     return total
+
+
+def scalar_rr_sets(graph, count, seed):
+    """Reverse-reachable sets drawn with one scalar `rng.random()` per
+    liveness coin, the sampler `gen_rr_sets` must reproduce bit for bit.
+    Returns the sets and the number of coins each walk drew."""
+    rng = np.random.default_rng(seed)
+    in_adj = graph.in_adjacency()
+    sets, coins = [], []
+    for _ in range(count):
+        root = int(rng.integers(graph.n_nodes))
+        mask = 1 << root
+        queue = deque([root])
+        drawn = 0
+        while queue:
+            w = queue.popleft()
+            for u, p in in_adj[w]:
+                if not (mask >> u) & 1:
+                    drawn += 1
+                    if rng.random() < p:
+                        mask |= 1 << u
+                        queue.append(u)
+        sets.append(mask)
+        coins.append(drawn)
+    return sets, coins

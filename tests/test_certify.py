@@ -251,6 +251,20 @@ def test_certify_detects_violations_from_wrong_p():
     assert raised_or_failed > 0
 
 
+def test_certify_run_rejects_an_optimal_set_larger_than_p_times_rank():
+    # two partition matroids on {0, 1, 2}: the id-order greedy base is {0},
+    # a base of size 1, while {1, 2} is independent too, so p must be >= 2
+    ground = t.GroundSet(3)
+    c = t.IntersectionSystem([t.PartitionMatroid([0, 0, 1], 1),
+                              t.PartitionMatroid([0, 1, 0], 1)])
+    assert t.rank(c, ground) == 1 and c.is_independent(0b110)
+    f = t.ModularObjective([1.0, 1.0, 1.0])
+    report = t.twin_greedy(f, c, ground)
+    with pytest.raises(t.CertificationError, match="p \\* rank = 1 \\* 1"):
+        t.certify_run(f, c, report, 0b110, 2.0, p=1)
+    assert t.certify_run(f, c, report, 0b110, 2.0, p=2).ok
+
+
 def _drop_first(log):
     del log.entries[0]
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import twinopt as t
 from twinopt import cli
+from twinopt.core import MAX_HEADER_COUNT
 from twinopt.objectives import load_edge_list, load_rr_sets
 
 import helpers
@@ -342,6 +343,25 @@ def test_marketing_run_is_pinned(tmp_path, monkeypatch, capsys, algo, digest):
     assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
 
 
+# sha256 of a `gen-rrsets` file recorded with the scalar sampler, one
+# `rng.random()` per coin; the block-drawn sampler must write the same
+# bytes.  Some of its walks use several coin blocks.
+RRSETS_SHA256 = "c3ec98906a8f3c44944501652aa9ee1eba1ced1109cd64b23e42766017f0f3ba"
+
+
+def test_gen_rrsets_output_is_pinned(tmp_path, capsys):
+    graph, out = tmp_path / "e.txt", tmp_path / "rr.txt"
+    assert run_cli(["gen-graph", "--model", "er", "--n", "200", "--p", "0.3", "--seed", "11",
+                    "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert run_cli(["gen-rrsets", "--graph", str(graph), "--count", "300", "--indegree-probs",
+                    "--seed", "9", "--out", str(out)]) == 0
+    manifest = json.loads(capsys.readouterr().out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RRSETS_SHA256
+    assert manifest["files"][str(out)]["sha256"] == RRSETS_SHA256
+    assert manifest["rng"] == "numpy-pcg64"
+
+
 GRAPH_60 = "# nodes 60 directed 0\n0 1 0.5\n2 3 0.25\n"
 RR_3 = "# nodes 3\n0 1\n2\n"
 COSTS_3 = "0 0.5\n1 0.5\n2 0.5\n"
@@ -356,6 +376,9 @@ SWEEP = ["sweep", "--axis", "k", "--algos", "twinfast", "--graph", "@g.txt",
 def _swap(argv, flag, value):
     return [value if prev == flag else a for prev, a in zip([None] + argv, argv)]
 
+
+RRSETS = ["gen-rrsets", "--graph", "@g.txt", "--count", "5", "--out", "@o.txt"]
+TOO_MANY = MAX_HEADER_COUNT + 1
 
 # (input files, argv with @NAME for a file in tmp_path, text the error line must hold)
 BAD_INPUTS = {
@@ -443,6 +466,19 @@ BAD_INPUTS = {
                             + ["--values", "2", "--jobs", "-3"], "--jobs must be >= 1"),
     "sweep-jobs-zero": ({"g.txt": GRAPH_60}, _swap(SWEEP, "--out", "@o.txt")
                         + ["--values", "2", "--jobs", "0"], "--jobs must be >= 1"),
+    "gen-rrsets-no-nodes": ({"g.txt": "# nodes 0 directed 1\n"}, RRSETS, "at least one node"),
+    "gen-rrsets-empty-graph-file": ({"g.txt": ""}, RRSETS, "at least one node"),
+    "gen-graph-ba-one-node-clique": (
+        {}, ["gen-graph", "--model", "ba", "--n", "5", "--m0", "1", "--m", "1", "--out", "@o.txt"],
+        "m0 >= 2"),
+    # one past the bound only: a header or id this large must fail before any allocation
+    "graph-header-above-max": ({"g.txt": f"# nodes {TOO_MANY} directed 0\n0 1 1.0\n"}, CUT,
+                               f"g.txt:1: header count {TOO_MANY}"),
+    "graph-id-above-max": ({"g.txt": f"0 {TOO_MANY - 1} 1.0\n"}, CUT, "g.txt:1: edge 0"),
+    "rrsets-header-above-max": ({"rr.txt": f"# nodes {TOO_MANY}\n0\n", "c.txt": COSTS_3},
+                                MARKETING, f"rr.txt:1: header count {TOO_MANY}"),
+    "rrsets-id-above-max": ({"rr.txt": f"0 {TOO_MANY - 1}\n", "c.txt": COSTS_3}, MARKETING,
+                            f"rr.txt:1: node id {TOO_MANY - 1}"),
 }
 
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinopt as t
-from twinopt.core import CallableOracle, LogEntry, read_dense, read_rows, write_rows
+from twinopt.core import (MAX_HEADER_COUNT, CallableOracle, LogEntry, read_dense, read_rows,
+                          write_rows)
 
 import helpers
 
@@ -156,7 +157,8 @@ def test_read_rows_header_comments_and_blank_lines(tmp_path):
     ("# nodes -1\n", 1, "expected '# nodes N'"),
     ("1\n# nodes 3\n", 2, "the header must come before the first row"),
     ("1\nbad\xff\n", 2, "expected 'ids'"),
-], ids=["token", "negative-count", "late-header", "undecodable-byte"])
+    (f"# nodes {MAX_HEADER_COUNT + 1}\n", 1, f"header count {MAX_HEADER_COUNT + 1} is above"),
+], ids=["token", "negative-count", "late-header", "undecodable-byte", "count-above-max"])
 def test_read_rows_errors_name_path_and_line(tmp_path, text, lineno, message):
     path = tmp_path / "rows.txt"
     path.write_bytes(text.encode("latin-1"))

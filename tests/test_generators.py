@@ -4,6 +4,9 @@ import statistics
 import pytest
 
 import twinopt as t
+from twinopt import generators
+
+import helpers
 
 
 def test_gen_er_degenerate_probabilities():
@@ -54,6 +57,9 @@ def test_gen_ba_heavy_tail():
 def test_gen_ba_rejects_bad_shape():
     with pytest.raises(t.ContractViolation):
         t.gen_ba(5, 6, 2, seed=0)
+    with pytest.raises(t.ContractViolation, match="m0 >= 2"):
+        t.gen_ba(5, 1, 1, seed=0)  # a one-node seed clique has no edge to attach to
+    assert t.gen_ba(1, 1, 1, seed=0).edges == []
 
 
 def test_assign_weights_constant_when_lo_equals_hi():
@@ -139,6 +145,45 @@ def test_gen_rr_sets_marginals_match_enumeration():
         got = sum(1 for m in z.sets if (m >> x) & 1) / n_samples
         sigma = math.sqrt(exact * (1 - exact) / n_samples)
         assert abs(got - exact) <= 3 * sigma
+
+
+def _bidirected(graph):
+    edges = graph.edges + [(v, u, w) for u, v, w in graph.edges]
+    return t.WeightedGraph(graph.n_nodes, edges, directed=True)
+
+
+def _complete_digraph(n, p):
+    return t.WeightedGraph(n, [(u, v, p) for u in range(n) for v in range(n) if u != v],
+                           directed=True)
+
+
+# graphs on which the block-drawn sampler must match the scalar reference
+RR_GRID = {
+    # node 0 has no in-edges; every coin is certain except one
+    "p-zero-or-one": t.WeightedGraph(5, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0), (3, 1, 0.5),
+                                         (4, 3, 0.0), (2, 4, 1.0)], directed=True),
+    "self-loop-and-duplicate": t.WeightedGraph(4, [(0, 1, 0.3), (0, 1, 0.3), (2, 2, 0.7),
+                                                   (2, 1, 0.6), (1, 3, 0.9), (3, 2, 0.4)],
+                                               directed=True),
+    "single-node": t.WeightedGraph(1, [(0, 0, 0.5)], directed=True),
+    "ba-indegree": t.set_indegree_probabilities(_bidirected(t.gen_ba(60, 4, 2, 3))),
+    "dense": _complete_digraph(40, 0.02),
+}
+
+
+@pytest.mark.parametrize("count", [1, 150])
+@pytest.mark.parametrize("name", RR_GRID)
+def test_gen_rr_sets_equals_scalar_reference(name, count):
+    graph = RR_GRID[name]
+    for seed in (0, 1, 7, 100, 2**40 + 3):
+        want, _ = helpers.scalar_rr_sets(graph, count, seed)
+        assert t.gen_rr_sets(graph, count, seed).sets == want
+
+
+def test_dense_grid_walks_span_several_coin_blocks():
+    _, coins = helpers.scalar_rr_sets(RR_GRID["dense"], 150, 0)
+    assert max(coins) > 2 * generators._COIN_BLOCK
+    assert min(coins) < generators._COIN_BLOCK
 
 
 def test_ic_exact_spread_trivia():
