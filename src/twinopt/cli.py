@@ -9,12 +9,12 @@ with identical flags are byte-identical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 from . import certify as certify_mod
 from . import constraints as cons
@@ -281,8 +281,11 @@ def cmd_sweep(args) -> int:
                     "seed": seed * 100000 + ai * 1000 + rep,
                     "timing": not args.no_timing,
                 })
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts every worker at the first submit, so never ask
+    # for more than there are cells or CPUs
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, tasks))
     else:
         rows = [_sweep_cell(t) for t in tasks]

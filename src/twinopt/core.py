@@ -150,17 +150,36 @@ class ValueOracle:
     caller-cached base value costs exactly one query.  Oracles hold no
     value caches of their own; solvers own theirs, which keeps the query
     count attributable to the algorithm under test.
+
+    A solver that grows a set S one element at a time may ask for a
+    `base(S)` and pass it to `evaluate(S | 1 << e, base)`.  A base holds
+    work, not values: intermediate arrays from which an oracle can
+    evaluate a one-element extension of S for less than a full
+    evaluation, returning exactly what `evaluate` without it returns.
+    Building a base is not a query.  The default base is None, which
+    `evaluate` ignores, so an oracle without one behaves as before.
     """
 
     def __init__(self):
         self.query_count = 0
 
-    def evaluate(self, mask: int) -> float:
+    def evaluate(self, mask: int, base=None) -> float:
         self.query_count += 1
-        return self._value(mask)
+        if base is None:
+            return self._value(mask)
+        return self._value_near(base, mask)
+
+    def base(self, mask: int, prev=None):
+        """An opaque base for the set `mask`, or None.  `prev` may be the
+        base of `mask` minus one element, to build this one from."""
+        return None
 
     def _value(self, mask: int) -> float:
         raise NotImplementedError
+
+    def _value_near(self, base, mask: int) -> float:
+        """f(mask) given `base`; falls back to a full evaluation."""
+        return self._value(mask)
 
 
 class CallableOracle(ValueOracle):

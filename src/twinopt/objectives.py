@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec  # the row kernel behind csr_matrix.dot
 
 from .core import (MAX_HEADER_COUNT, ContractViolation, ValueOracle, bitmask, members, read_dense,
                    read_rows, write_rows)
@@ -75,11 +77,29 @@ def load_edge_list(path, directed: bool | None = None) -> WeightedGraph:
     return WeightedGraph(n_nodes, edges, bool(header.get("directed")) if directed is None else directed)
 
 
+class _CutBase(NamedTuple):
+    """Work behind the sparse cut value of one set: its indicator, the
+    complement indicator x = 1 - ind and y = A @ x, every row summed by
+    the same kernel as a full evaluation."""
+
+    mask: int
+    ind: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
 class CutMonitorObjective(ValueOracle):
     """Total weight monitored by S: sum of w(u,v) over edges with exactly
     the orientation u in S, v not in S (undirected, so each crossing edge
     counts once).  Non-negative, non-monotone, submodular; f(empty)=0 and
     f(V)=0.
+
+    From _SPARSE_MIN_NODES nodes on, f(S) = ind' (A (1 - ind)) over the
+    symmetric CSR adjacency A, and a `_CutBase` of S makes f(S + e) cost
+    only the rows of A @ x that read x[e] and reach the dot: the rows in
+    S + e adjacent to e.  They are recomputed by the same kernel, each
+    row's products added in the same order, and the full-length dot is
+    taken as before, so the value is the full evaluation's bit for bit.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -100,6 +120,8 @@ class CutMonitorObjective(ValueOracle):
                 (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
                 shape=(self.n, self.n),
             )
+            # row u's [start, end) in the CSR arrays, for the row kernel
+            self._spans = np.stack([self._adj.indptr[:-1], self._adj.indptr[1:]], axis=1)
             self._nbytes = (self.n + 7) // 8
         else:
             self._lists = graph.in_adjacency()  # undirected: the neighbour lists
@@ -108,15 +130,74 @@ class CutMonitorObjective(ValueOracle):
         if mask >> self.n:
             raise ContractViolation("set contains non-node ids")
         if self._sparse:
-            raw = np.frombuffer(mask.to_bytes(self._nbytes, "little"), dtype=np.uint8)
-            ind = np.unpackbits(raw, count=self.n, bitorder="little").astype(np.float64)
-            return float(ind @ self._adj.dot(1.0 - ind))
+            full = self._full_base(mask)
+            return float(full.ind @ full.y)
         total = 0.0
         for u in members(mask):
             for v, w in self._lists[u]:
                 if not (mask >> v) & 1:
                     total += w
         return total
+
+    def base(self, mask: int, prev: _CutBase | None = None) -> _CutBase | None:
+        if not self._sparse:
+            return None
+        e = -1 if prev is None else self._added(prev, mask)
+        if e < 0:
+            if mask >> self.n:
+                raise ContractViolation("set contains non-node ids")
+            return self._full_base(mask)
+        ind, x, y = prev.ind.copy(), prev.x.copy(), prev.y.copy()
+        ind[e], x[e] = 1.0, 0.0
+        self._redo_rows(self._neighbours(e), x, y)  # every row that reads x[e]
+        return _CutBase(mask, ind, x, y)
+
+    def _value_near(self, base: _CutBase, mask: int) -> float:
+        e = self._added(base, mask)
+        if e < 0:
+            return self._value(mask)
+        ind, x, y = base.ind.copy(), base.x.copy(), base.y.copy()
+        ind[e], x[e] = 1.0, 0.0
+        nbrs = self._neighbours(e)
+        # rows outside S + e meet a 0 in the dot whatever their sums are
+        self._redo_rows(nbrs[ind.take(nbrs) != 0.0], x, y)
+        return float(ind @ y)
+
+    def _added(self, base: _CutBase, mask: int) -> int:
+        """The node e with mask == base.mask + {e}, else -1."""
+        added = mask ^ base.mask
+        if added.bit_count() != 1 or not mask & added or added >> self.n:
+            return -1
+        return added.bit_length() - 1
+
+    def _full_base(self, mask: int) -> _CutBase:
+        raw = np.frombuffer(mask.to_bytes(self._nbytes, "little"), dtype=np.uint8)
+        ind = np.unpackbits(raw, count=self.n, bitorder="little").astype(np.float64)
+        x = 1.0 - ind
+        y = np.zeros(self.n)
+        adj = self._adj
+        csr_matvec(self.n, self.n, adj.indptr, adj.indices, adj.data, x, y)  # as adj.dot(x)
+        return _CutBase(mask, ind, x, y)
+
+    def _neighbours(self, e: int) -> np.ndarray:
+        """Column ids of row e, ascending: the rows whose sums read x[e]."""
+        start, end = self._spans[e]
+        return self._adj.indices[start:end]
+
+    def _redo_rows(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+        """Set y[u] = (A @ x)[u] for the ascending rows u, each summed as
+        `_full_base` sums it.  The kernel runs over an index pointer holding
+        [indptr[u], indptr[u + 1]] for u in descending order, so the rows
+        between two of them start past their end and add nothing.  (Out of
+        order, those rows would run over real entries: slower, and their
+        outputs are dropped anyway.)"""
+        if not len(rows):
+            return
+        down = rows[::-1]
+        ptr = self._spans.take(down, axis=0).ravel()
+        out = np.zeros(len(ptr) - 1)
+        csr_matvec(len(out), self.n, ptr, self._adj.indices, self._adj.data, x, out)
+        y.put(down, out[0::2])
 
 
 @dataclass

@@ -18,6 +18,13 @@ broken arbitrarily" contract and is orders of magnitude below every
 stated 1e-9 tolerance.  In exact arithmetic (e.g. dyadic weights) the
 runs coincide bit for bit.  The sampled baseline is deliberately the
 textbook scan-everything greedy.
+
+The greedy solvers keep one oracle base per side (`ValueOracle.base`)
+and pass it positionally to every `evaluate` of a one-element extension
+of that side, refreshing it after each insertion.  A base holds work,
+not values: each such query still counts once and returns what a plain
+`evaluate` returns, so logs, values and query counts do not depend on
+whether an oracle offers bases.
 """
 
 from __future__ import annotations
@@ -98,6 +105,7 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
     s = [0, 0]
     fval = [f_empty, f_empty]
     states = [constraint.empty_state(), constraint.empty_state()]
+    bases = [f.base(0)] * 2  # bases are never mutated, so both sides may share one
     versions = [0, 0]
     log = InsertionLog()
 
@@ -106,7 +114,7 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
     empty_state = constraint.empty_state()
     for e in range(n):
         if constraint.can_add(empty_state, e):
-            val = f.evaluate(1 << e)
+            val = f.evaluate(1 << e, bases[0])
             gain = val - f_empty
             heap.append((-gain, 0, e, 0, val))
             heap.append((-gain, 1, e, 0, val))
@@ -120,7 +128,7 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
         if not constraint.can_add(states[i], e):
             continue  # a grown side never becomes feasible again
         if ver != versions[i]:
-            val = f.evaluate(s[i] | (1 << e))
+            val = f.evaluate(s[i] | (1 << e), bases[i])
             heapq.heappush(heap, (fval[i] - val, i, e, versions[i], val))
             continue
         gain = -neg_gain
@@ -130,6 +138,7 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
         s[i] |= 1 << e
         fval[i] = val  # val is the oracle's own output for the grown side
         states[i] = constraint.add(states[i], e)
+        bases[i] = f.base(s[i], bases[i])
         versions[i] += 1
         selected |= 1 << e
 
@@ -159,11 +168,12 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     fval = [f_empty, f_empty]
     params: dict = {"epsilon": epsilon, "tie_break": TIE_BREAK}
 
+    bases = [f.base(0)] * 2  # bases are never mutated, so both sides may share one
     singleton = np.full(n, -np.inf)
     empty_state = constraint.empty_state()
     for e in range(n):
         if constraint.can_add(empty_state, e):
-            singleton[e] = f.evaluate(1 << e)
+            singleton[e] = f.evaluate(1 << e, bases[0])
     tau_max = float(singleton.max()) if n else -math.inf
     params["tau_max"] = None if math.isinf(tau_max) else tau_max
     if not tau_max > 0.0:
@@ -196,7 +206,7 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
                 if not constraint.can_add(states[i], e):
                     bounds[i, e] = -np.inf
                     continue
-                val = f.evaluate(s[i] | (1 << e))
+                val = f.evaluate(s[i] | (1 << e), bases[i])
                 gain = val - fval[i]
                 bounds[i, e] = gain
                 if gain > best_gain:  # strict keeps side 1 on ties
@@ -207,6 +217,7 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
                 s[i] |= 1 << e
                 fval[i] = best_val
                 states[i] = constraint.add(states[i], e)
+                bases[i] = f.base(s[i], bases[i])
                 bounds[:, e] = -np.inf
         passes += 1
         tau = tau_max / (1.0 + epsilon) ** passes
@@ -222,6 +233,7 @@ def _single_greedy(algorithm, f, constraint, ground, candidates, parameters,
     sol = 0
     fcur = f_empty
     state = constraint.empty_state()
+    base = f.base(0)
     log = InsertionLog()
     remaining = list(candidates)
     while remaining:
@@ -233,7 +245,7 @@ def _single_greedy(algorithm, f, constraint, ground, candidates, parameters,
             if not constraint.can_add(state, e):
                 continue  # infeasible for good; drop from future rounds
             alive.append(e)
-            val = f.evaluate(sol | (1 << e))
+            val = f.evaluate(sol | (1 << e), base)
             gain = val - fcur
             if gain > best_gain:  # ascending scan keeps the lowest id on ties
                 best_e, best_gain, best_val = e, gain, val
@@ -243,6 +255,7 @@ def _single_greedy(algorithm, f, constraint, ground, candidates, parameters,
         sol |= 1 << best_e
         fcur = best_val
         state = constraint.add(state, best_e)
+        base = f.base(sol, base)
         alive.remove(best_e)
         remaining = alive
 

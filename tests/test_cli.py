@@ -190,6 +190,44 @@ def test_sweep_parallel_jobs_match_serial(tmp_path, capsys):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2), (None, None)])
+def test_sweep_jobs_start_no_more_workers_than_cells_or_cpus(tmp_path, monkeypatch, capsys,
+                                                              cpus, workers):
+    # the pool is replaced by one that runs the cells in this process, so
+    # --jobs 1000000 starts no process; the request must still shrink to
+    # the 3 cells and the CPU count before it reaches the pool
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    graph_path = tmp_path / "g.txt"
+    run_cli(["gen-graph", "--model", "er", "--n", "20", "--p", "0.5",
+             "--weights", "0,1", "--seed", "2", "--out", str(graph_path)])
+    serial, wide = tmp_path / "serial.csv", tmp_path / "wide.csv"
+    for out, jobs in ((serial, "1"), (wide, "1000000")):
+        capsys.readouterr()
+        assert run_cli(["sweep", "--axis", "k", "--values", "1,2,3", "--algos", "twin",
+                        "--graph", str(graph_path), "--constraint", "partition:cap={k},h=2,seed=3",
+                        "--jobs", jobs, "--out", str(out), "--no-timing", "--seed", "6"]) == 0
+    echo = json.loads(capsys.readouterr().out)
+    assert echo["cells"] == 3 and echo["parameters"]["jobs"] == 1000000
+    assert started == ([] if workers is None else [workers])
+    assert serial.read_bytes() == wide.read_bytes()
+
+
 def test_gen_rrsets_indegree_probs(tmp_path, capsys):
     graph_path = tmp_path / "d.txt"
     # node 2 has two in-edges, so each activates with probability 1/2
@@ -340,6 +378,31 @@ def test_marketing_run_is_pinned(tmp_path, monkeypatch, capsys, algo, digest):
                     "--costs", "c.txt", "--constraint", "seedmatroid:v=40,m=2,k=5",
                     "--epsilon", "0.1", "--no-timing", "--out", "out.json"]) == 0
     capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+
+
+# sha256 of `run --objective cut --no-timing` on a fixed 300-node ER graph,
+# which takes the sparse-matrix cut path, recorded before cut queries were
+# answered from a per-side base: values, logs and query counts are pinned.
+CUT_SPARSE_RUN_SHA256 = {
+    "twin": "3b0ab7cf149cc89b62663f3ef7d1a7d8dde77ced22be92062fba511ece5d938f",
+    "twinfast": "084b70ca8d96bf4080717407d2d0c94f7fdca9fa39ae07f73c061b6aa96ffedc",
+    "samplegreedy": "537fb3abfa4a04769a545518ac472051beec4378c46bb2c26ddeb101519f0cac",
+    "greedy": "7886120ca7a8d8e35ff291a7c09f4862360ba2ebcc25b7045290db5c5ab49567",
+}
+
+
+@pytest.mark.parametrize("algo, digest", CUT_SPARSE_RUN_SHA256.items(),
+                         ids=CUT_SPARSE_RUN_SHA256.keys())
+def test_sparse_cut_run_is_pinned(tmp_path, monkeypatch, capsys, algo, digest):
+    monkeypatch.chdir(tmp_path)  # relative paths: the input hashes are keyed by path
+    assert run_cli(["gen-graph", "--model", "er", "--n", "300", "--p", "0.05",
+                    "--weights", "0,1", "--seed", "21", "--out", "g.txt"]) == 0
+    assert run_cli(["run", "--algo", algo, "--objective", "cut", "--graph", "g.txt",
+                    "--constraint", "partition:cap=8,h=3,seed=4", "--epsilon", "0.1",
+                    "--seed", "5", "--no-timing", "--out", "out.json"]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "out.json").read_text())["n"] >= t.objectives._SPARSE_MIN_NODES
     assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
 
 

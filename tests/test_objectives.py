@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,6 +55,104 @@ def test_cut_sparse_path_matches_edge_scan():
     for _ in range(20):
         mask = rng.getrandbits(n)
         assert f.evaluate(mask) == pytest.approx(helpers.naive_cut(graph, mask), abs=1e-6)
+
+
+@st.composite
+def sparse_cut_cases(draw):
+    """A sparse-path cut oracle with a self-loop, a duplicated edge, zero
+    weights and an isolated node (the last one), a node e and a set S
+    without e: empty, everything else, no neighbour of e, or random."""
+    n = draw(st.integers(objmod._SPARSE_MIN_NODES, objmod._SPARSE_MIN_NODES + 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v, rng.choice([0.0, rng.random()]))
+             for u in range(n - 1) for v in range(u + 1, n - 1) if rng.random() < 0.04]
+    loop = rng.randrange(n - 1)
+    u, v, _ = edges[0]
+    edges += [(loop, loop, rng.random()), (u, v, rng.random())]
+    f = t.CutMonitorObjective(t.WeightedGraph(n, edges))
+    e = draw(st.sampled_from([loop, u, n - 1, rng.randrange(n)]))
+    kind = draw(st.sampled_from(["empty", "all-but-e", "no-neighbour", "random"]))
+    others = ((1 << n) - 1) & ~(1 << e)
+    if kind == "empty":
+        s = 0
+    elif kind == "all-but-e":
+        s = others
+    else:
+        s = rng.getrandbits(n) & others
+        if kind == "no-neighbour":
+            s &= ~t.bitmask(int(v) for v in f._neighbours(e))
+    return f, s, e
+
+
+def _base_arrays(base):
+    return base.mask, base.ind.copy(), base.x.copy(), base.y.copy()
+
+
+def _same_base(a, b):
+    return a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+
+
+@given(sparse_cut_cases())
+def test_based_cut_query_is_bit_identical_to_full_evaluation(case):
+    f, s, e = case
+    base = f.base(s)
+    before = _base_arrays(base)
+    q0 = f.query_count
+    full = f.evaluate(s | 1 << e)
+    assert f.query_count == q0 + 1
+    assert f.evaluate(s | 1 << e, base) == full  # exact, not approx
+    assert f.query_count == q0 + 2
+    assert _same_base(_base_arrays(base), before)
+    assert full == pytest.approx(helpers.naive_cut(f.graph, s | 1 << e), abs=1e-9)
+
+
+@given(sparse_cut_cases(), st.integers(1, 8))
+def test_grown_cut_base_equals_a_fresh_one(case, k):
+    f, s, _ = case
+    base = f.base(s)
+    rng = random.Random(k)
+    outside = [u for u in range(f.n) if not (s >> u) & 1]
+    for u in rng.sample(outside, min(k, len(outside))):
+        assert f.evaluate(s | 1 << u, base) == f.evaluate(s | 1 << u)
+        s |= 1 << u
+        base = f.base(s, base)
+    assert _same_base(_base_arrays(base), _base_arrays(f.base(s)))
+
+
+@given(sparse_cut_cases())
+def test_based_cut_query_off_an_extension_falls_back(case):
+    f, s, e = case
+    base = f.base(s | 1 << e)
+    others = [u for u in range(f.n) if u != e]
+    for mask in (s | 1 << e, s, s | 1 << others[0] | 1 << others[-1], s ^ 1 << e ^ 1 << others[1]):
+        q0 = f.query_count
+        assert f.evaluate(mask, base) == f.evaluate(mask)
+        assert f.query_count == q0 + 2
+
+
+@given(sparse_cut_cases())
+def test_based_cut_query_rejects_ids_past_the_nodes(case):
+    f, s, e = case
+    base = f.base(s)
+    for mask in (s | 1 << f.n, s | 1 << e | 1 << (f.n + 5)):
+        with pytest.raises(t.ContractViolation):
+            f.evaluate(mask, base)
+        with pytest.raises(t.ContractViolation):
+            f.evaluate(mask)
+    with pytest.raises(t.ContractViolation):
+        f.base(s | 1 << f.n)
+    with pytest.raises(t.ContractViolation):
+        f.base(s | 1 << f.n, base)
+
+
+def test_only_the_sparse_cut_offers_a_base():
+    small = t.CutMonitorObjective(t.WeightedGraph(5, [(0, 1, 1.0)]))
+    rr = t.RRSetCollection(2, [0b01])
+    oracles = [small, t.MarketingObjective([rr], [0.5, 1.0]), t.ModularObjective([1.0, -2.0]),
+               t.CoverageObjective([1.0], [0b1, 0b0])]
+    for f in oracles:
+        assert f.base(0) is None and f.base(0b1, f.base(0)) is None
+        assert f.evaluate(0b1, None) == f.evaluate(0b1)
 
 
 def test_cut_rejects_directed_graph():

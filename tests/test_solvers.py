@@ -394,3 +394,25 @@ def test_rng_identifier_recorded_for_randomized_baseline():
     report = t.sample_greedy(oracle(), constraint(), ground, q=0.5, seed=11)
     assert report.parameters["rng"] == t.RNG_ID
     assert report.parameters["seed"] == 11
+
+
+@pytest.mark.parametrize("name", ["twin", "twinfast", "samplegreedy", "greedy"])
+def test_positional_evaluate_wrapper_sees_every_query(name):
+    # a tracer that wraps evaluate on the instance as `wrapped(*args)` must
+    # see each query once: a base passed by keyword would raise here, and a
+    # value reached around evaluate would make the counts differ
+    n = t.objectives._SPARSE_MIN_NODES + 8
+    graph, ground, oracle, constraint = helpers.cut_instance(n, seed=8500, p_edge=0.05,
+                                                             h=3, cap=4)
+    f = oracle()
+    method, arities = f.evaluate, []
+
+    def wrapped(*args):
+        arities.append(len(args))
+        return method(*args)
+
+    f.evaluate = wrapped
+    report = t.solve(name, f, constraint(), ground, t.SolverParams(epsilon=0.1, seed=3))
+    assert len(arities) == report.value_queries == f.query_count
+    assert arities.count(2) > arities.count(1)  # most queries came with a base
+    assert report.log.entries
