@@ -158,6 +158,10 @@ class ValueOracle:
     evaluation, returning exactly what `evaluate` without it returns.
     Building a base is not a query.  The default base is None, which
     `evaluate` ignores, so an oracle without one behaves as before.
+
+    The sparse-path cut (`CutMonitorObjective` from `_SPARSE_MIN_NODES`
+    nodes on) and `MarketingObjective` offer bases; the list-path cut,
+    `ModularObjective`, `CoverageObjective` and `CallableOracle` do not.
     """
 
     def __init__(self):

@@ -8,6 +8,7 @@ modular/coverage objectives are synthetic fixtures for tests.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -73,8 +74,19 @@ def _edge_row(fields, header):
 def load_edge_list(path, directed: bool | None = None) -> WeightedGraph:
     """Read a graph; without a `# nodes N` header, n is 1 + the largest id."""
     header, edges = read_rows(path, "u v w", _edge_row, keys=("nodes", "directed"))
-    n_nodes = header.get("nodes", 1 + max((max(u, v) for u, v, _ in edges), default=-1))
+    if "nodes" in header:
+        n_nodes = header["nodes"]
+    else:
+        n_nodes = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
     return WeightedGraph(n_nodes, edges, bool(header.get("directed")) if directed is None else directed)
+
+
+def _added(prev: int, mask: int, n: int) -> int:
+    """The id e < n with mask == prev + {e}, else -1."""
+    added = mask ^ prev
+    if added.bit_count() != 1 or not mask & added or added >> n:
+        return -1
+    return added.bit_length() - 1
 
 
 class _CutBase(NamedTuple):
@@ -142,7 +154,7 @@ class CutMonitorObjective(ValueOracle):
     def base(self, mask: int, prev: _CutBase | None = None) -> _CutBase | None:
         if not self._sparse:
             return None
-        e = -1 if prev is None else self._added(prev, mask)
+        e = -1 if prev is None else _added(prev.mask, mask, self.n)
         if e < 0:
             if mask >> self.n:
                 raise ContractViolation("set contains non-node ids")
@@ -153,7 +165,7 @@ class CutMonitorObjective(ValueOracle):
         return _CutBase(mask, ind, x, y)
 
     def _value_near(self, base: _CutBase, mask: int) -> float:
-        e = self._added(base, mask)
+        e = _added(base.mask, mask, self.n)
         if e < 0:
             return self._value(mask)
         ind, x, y = base.ind.copy(), base.x.copy(), base.y.copy()
@@ -162,13 +174,6 @@ class CutMonitorObjective(ValueOracle):
         # rows outside S + e meet a 0 in the dot whatever their sums are
         self._redo_rows(nbrs[ind.take(nbrs) != 0.0], x, y)
         return float(ind @ y)
-
-    def _added(self, base: _CutBase, mask: int) -> int:
-        """The node e with mask == base.mask + {e}, else -1."""
-        added = mask ^ base.mask
-        if added.bit_count() != 1 or not mask & added or added >> self.n:
-            return -1
-        return added.bit_length() - 1
 
     def _full_base(self, mask: int) -> _CutBase:
         raw = np.frombuffer(mask.to_bytes(self._nbytes, "little"), dtype=np.uint8)
@@ -234,7 +239,8 @@ def save_rr_sets(path, collection: RRSetCollection) -> None:
 def load_rr_sets(path) -> RRSetCollection:
     """One set of node ids per line; n is the header's, else 1 + the largest id."""
     header, sets = read_rows(path, "node ids", _rr_row, keys=("nodes",))
-    return RRSetCollection(header.get("nodes", max(sets, default=0).bit_length()), sets)
+    n_nodes = header["nodes"] if "nodes" in header else max(sets, default=0).bit_length()
+    return RRSetCollection(n_nodes, sets)
 
 
 def _rr_row(fields, header):
@@ -253,6 +259,19 @@ def unpack_seed_id(e: int, m: int) -> tuple[int, int]:
     return divmod(e, m)
 
 
+class _MarketingBase(NamedTuple):
+    """Work behind the marketing value of one set: per product the RR sets
+    its seeds hit and its spread term n * hits / |R_i|, the members in
+    ascending id, and the prefix sums of their costs in that order
+    (pre[k] is the cost of the first k members, pre[0] = 0.0)."""
+
+    mask: int
+    hit: list[int]
+    terms: list[float]
+    ids: list[int]
+    pre: list[float]
+
+
 class MarketingObjective(ValueOracle):
     """Estimated multi-product revenue with budget savings.
 
@@ -267,6 +286,12 @@ class MarketingObjective(ValueOracle):
     that contain u.  The sets S_i hits are the OR of its seeds' covers and
     their count one bit_count, so a query never scans the RR sets and its
     value equals the `rr_estimate` sum bit for bit.
+
+    A `_MarketingBase` of S makes f(S + e), e = (u, i), cost one OR, one
+    term and the costs of the members after e: the value is summed from
+    the same terms in product order and the costs in ascending id order,
+    the prefix before e taken from the base, so it is the full
+    evaluation's bit for bit.
     """
 
     def __init__(self, collections: list[RRSetCollection], costs, budget: float | None = None):
@@ -296,20 +321,45 @@ class MarketingObjective(ValueOracle):
         self._sampled = [len(c.sets) for c in collections]
 
     def _value(self, mask: int) -> float:
+        full = self.base(mask)
+        return self._total(full.terms, full.pre[-1]) if mask else 0.0
+
+    def base(self, mask: int, prev: _MarketingBase | None = None) -> _MarketingBase:
+        """The base of `mask`, built afresh: one pass over the members, about
+        what growing `prev` by one element would cost."""
         if mask >> self.n:
             raise ContractViolation("set contains ids outside node x product range")
-        if mask == 0:
-            return 0.0
         hit = [0] * self.m  # per product, the RR sets its seeds cover
-        cost = 0.0
-        for e in members(mask):
+        ids = members(mask)
+        pre = [0.0]
+        for e in ids:
             u, i = unpack_seed_id(e, self.m)
             hit[i] |= self._covers[i][u]
-            cost += self.costs[u]
-        # a product that covers no set adds exactly 0.0, so summing every
-        # product gives rr_estimate's value bit for bit
-        spread = sum(self.n_nodes * h.bit_count() / s for h, s in zip(hit, self._sampled))
-        return spread + (self.budget - cost)
+            pre.append(pre[-1] + self.costs[u])
+        terms = [self._term(i, h) for i, h in enumerate(hit)]
+        return _MarketingBase(mask, hit, terms, ids, pre)
+
+    def _value_near(self, base: _MarketingBase, mask: int) -> float:
+        e = _added(base.mask, mask, self.n)
+        if e < 0:
+            return self._value(mask)
+        u, i = unpack_seed_id(e, self.m)
+        terms = base.terms.copy()
+        terms[i] = self._term(i, base.hit[i] | self._covers[i][u])
+        k = bisect(base.ids, e)
+        cost = base.pre[k] + self.costs[u]
+        for v in base.ids[k:]:  # the members after e, in the order `base` adds them
+            cost += self.costs[v // self.m]
+        return self._total(terms, cost)
+
+    def _term(self, i: int, hit: int) -> float:
+        return self.n_nodes * hit.bit_count() / self._sampled[i]
+
+    def _total(self, terms: list[float], cost: float) -> float:
+        """f of a non-empty set from its per-product terms and its cost.  A
+        product that covers no set adds exactly 0.0, so summing every
+        product gives rr_estimate's value bit for bit."""
+        return sum(terms) + (self.budget - cost)
 
 
 def _cover_index(sets: list[int], n_nodes: int) -> list[int]:

@@ -356,11 +356,13 @@ def test_marketing_run_via_cli(tmp_path, capsys):
 
 # sha256 of `run --objective marketing --no-timing` on a fixed 40-node,
 # 2-product instance, recorded before the marketing value moved to a
-# per-node RR-set cover index: values, logs and query counts are pinned.
+# per-node RR-set cover index (samplegreedy: before marketing queries were
+# answered from a per-side base): values, logs and query counts are pinned.
 MARKETING_RUN_SHA256 = {
     "twin": "acdfd8c39242650cd1c497617591d6d585167bf2f6a0c4c1fd2d1ccb3fabfdbd",
     "twinfast": "28c3314b749076a95bd91ac745d3636d9c182328db2a672e3681d4f91c4f0769",
     "greedy": "b806b40c9d258588140c05d7e91a500ebb9a845e8833297640443084601c0441",
+    "samplegreedy": "d32f59ecf06bdd78ed379590c3f67233ddd4d2c8deacd670ec07b24187a49910",
 }
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 
@@ -145,14 +146,15 @@ def test_based_cut_query_rejects_ids_past_the_nodes(case):
         f.base(s | 1 << f.n, base)
 
 
-def test_only_the_sparse_cut_offers_a_base():
+def test_only_the_sparse_cut_and_marketing_offer_a_base():
     small = t.CutMonitorObjective(t.WeightedGraph(5, [(0, 1, 1.0)]))
-    rr = t.RRSetCollection(2, [0b01])
-    oracles = [small, t.MarketingObjective([rr], [0.5, 1.0]), t.ModularObjective([1.0, -2.0]),
-               t.CoverageObjective([1.0], [0b1, 0b0])]
+    oracles = [small, t.ModularObjective([1.0, -2.0]), t.CoverageObjective([1.0], [0b1, 0b0])]
     for f in oracles:
         assert f.base(0) is None and f.base(0b1, f.base(0)) is None
         assert f.evaluate(0b1, None) == f.evaluate(0b1)
+    sparse = t.CutMonitorObjective(t.WeightedGraph(objmod._SPARSE_MIN_NODES, [(0, 1, 1.0)]))
+    marketing = t.MarketingObjective([t.RRSetCollection(2, [0b01])], [0.5, 1.0])
+    assert sparse.base(0) is not None and marketing.base(0) is not None
 
 
 def test_cut_rejects_directed_graph():
@@ -282,6 +284,78 @@ def test_marketing_value_is_bit_identical_to_rr_estimate(case):
         assert f.evaluate(mask) == _marketing_reference(f, mask)
 
 
+def _outside(f, s, rng):
+    """The lowest, the highest and a random id < f.n not in s (none if s is
+    everything): below and above the members, where the cost prefix ends."""
+    outside = [e for e in range(f.n) if not (s >> e) & 1]
+    return [outside[0], outside[-1], rng.choice(outside)] if outside else []
+
+
+@given(marketing_instances(), st.integers(0, 2**32 - 1))
+def test_based_marketing_query_is_bit_identical_to_full_evaluation(case, seed):
+    f, masks = case
+    rng = random.Random(seed)
+    for s in masks:  # the empty set among them
+        base = f.base(s)
+        before = copy.deepcopy(base)
+        for e in _outside(f, s, rng):
+            q0 = f.query_count
+            full = f.evaluate(s | 1 << e)
+            assert f.evaluate(s | 1 << e, base) == full == _marketing_reference(f, s | 1 << e)
+            assert f.query_count == q0 + 2
+        assert base == before
+
+
+@given(marketing_instances(), st.integers(1, 8))
+def test_grown_marketing_base_equals_a_fresh_one(case, k):
+    f, masks = case
+    rng = random.Random(k)
+    for s in (0, masks[0]):
+        base = f.base(s)
+        for _ in range(k):
+            outside = _outside(f, s, rng)
+            if not outside:
+                break
+            u = outside[-1]
+            assert f.evaluate(s | 1 << u, base) == f.evaluate(s | 1 << u)
+            s |= 1 << u
+            base = f.base(s, base)
+        assert base == f.base(s)
+
+
+@given(marketing_instances(), st.integers(0, 2**32 - 1))
+def test_based_marketing_query_off_an_extension_falls_back(case, seed):
+    f, masks = case
+    rng = random.Random(seed)
+    s = masks[0]
+    for e in _outside(f, s, rng):
+        base = f.base(s | 1 << e)
+        free = [u for u in range(f.n) if not ((s | 1 << e) >> u) & 1]
+        queries = [s | 1 << e, s, 0]  # the base's own set, e taken out, nothing
+        if free:  # e swapped for another id, and two ids added
+            queries += [s | 1 << free[0], s | 1 << e | 1 << free[0] | 1 << free[-1]]
+        for mask in queries:
+            q0 = f.query_count
+            assert f.evaluate(mask, base) == f.evaluate(mask)
+            assert f.query_count == q0 + 2
+
+
+@given(marketing_instances())
+def test_based_marketing_query_rejects_ids_past_the_range(case):
+    f, masks = case
+    s = masks[0]
+    base = f.base(s)
+    for mask in (s | 1 << f.n, 1 << f.n, s | 1 << (f.n - 1) | 1 << (f.n + 5)):
+        with pytest.raises(t.ContractViolation):
+            f.evaluate(mask, base)
+        with pytest.raises(t.ContractViolation):
+            f.evaluate(mask)
+    with pytest.raises(t.ContractViolation):
+        f.base(s | 1 << f.n)
+    with pytest.raises(t.ContractViolation):
+        f.base(s | 1 << f.n, base)
+
+
 def test_marketing_rejects_a_product_without_rr_sets(monkeypatch):
     z = [t.RRSetCollection(2, [0b01]), t.RRSetCollection(2, [])]
     with pytest.raises(t.ContractViolation, match="product 1 has no sampled RR sets"):
@@ -409,6 +483,11 @@ def test_headerless_files_take_n_from_the_largest_id(tmp_path):
     assert load_rr_sets(rr_path).n_nodes == 7
     graph_path.write_text("# nodes 9\n0 4 1.0\n")
     assert load_edge_list(graph_path).n_nodes == 9
+    rr_path.write_text("# nodes 9\n3\n")
+    assert load_rr_sets(rr_path).n_nodes == 9
+    graph_path.write_text("")
+    rr_path.write_text("")
+    assert load_edge_list(graph_path).n_nodes == load_rr_sets(rr_path).n_nodes == 0
 
 
 def test_writers_keep_the_text_format(tmp_path):
