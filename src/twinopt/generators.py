@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import repeat
 
 import numpy as np
 
@@ -34,7 +35,7 @@ def gen_er(n: int, p: float, seed: int) -> WeightedGraph:
     if n >= 2 and p > 0.0:
         rows, cols = np.triu_indices(n, k=1)
         keep = rng.random(rows.shape[0]) < p
-        edges = [(int(u), int(v), 1.0) for u, v in zip(rows[keep], cols[keep])]
+        edges = list(zip(rows[keep].tolist(), cols[keep].tolist(), repeat(1.0)))
     return WeightedGraph(n, edges, directed=False)
 
 
@@ -74,7 +75,7 @@ def assign_weights_uniform(g: WeightedGraph, lo: float, hi: float, seed: int) ->
         raise ContractViolation(f"need finite weights 0 <= lo <= hi, got {lo}, {hi}")
     rng = _rng(seed)
     draws = rng.uniform(lo, hi, len(g.edges)) if g.edges else np.empty(0)
-    edges = [(u, v, float(w)) for (u, v, _), w in zip(g.edges, draws)]
+    edges = [(u, v, w) for (u, v, _), w in zip(g.edges, draws.tolist())]
     return WeightedGraph(g.n_nodes, edges, directed=g.directed)
 
 
@@ -83,7 +84,7 @@ def assign_groups(n: int, h: int, seed: int) -> list[int]:
     if h < 1:
         raise ContractViolation("need at least one group")
     rng = _rng(seed)
-    return [int(x) for x in rng.integers(0, h, n)]
+    return rng.integers(0, h, n).tolist()
 
 
 def set_indegree_probabilities(g: WeightedGraph) -> WeightedGraph:

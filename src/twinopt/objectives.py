@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -118,24 +119,27 @@ class CutMonitorObjective(ValueOracle):
         super().__init__()
         if graph.directed:
             raise ContractViolation("monitoring graphs are undirected")
-        graph.validate()
         self.graph = graph
         self.n = graph.n_nodes
         self._sparse = self.n >= _SPARSE_MIN_NODES
         if self._sparse:
-            rows, cols, vals = [], [], []
-            for u, v, w in graph.edges:
-                rows += [u, v]
-                cols += [v, u]
-                vals += [w, w]
+            m = len(graph.edges)
+            cells = np.fromiter(chain.from_iterable(graph.edges), np.float64, 3 * m).reshape(m, 3)
+            u, v, w = cells.T
+            n = self.n
+            if not ((0 <= u) & (u < n) & (0 <= v) & (v < n) & np.isfinite(w) & (w >= 0)).all():
+                graph.validate()  # raises, naming the first bad edge
+            ids = cells[:, :2].astype(np.int64)
+            # both orientations of each edge in turn: u v, v u, as COO entries
             self._adj = sp.csr_matrix(
-                (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-                shape=(self.n, self.n),
+                (w.repeat(2), (ids.ravel(), ids[:, ::-1].ravel())),
+                shape=(n, n),
             )
             # row u's [start, end) in the CSR arrays, for the row kernel
             self._spans = np.stack([self._adj.indptr[:-1], self._adj.indptr[1:]], axis=1)
             self._nbytes = (self.n + 7) // 8
         else:
+            graph.validate()
             self._lists = graph.in_adjacency()  # undirected: the neighbour lists
 
     def _value(self, mask: int) -> float:

@@ -157,6 +157,13 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     drops to epsilon*tau_max/(r*(1+epsilon)).  Cached per-side gain
     bounds skip evaluations that cannot clear the bar (see module note);
     the insertion sequence is identical to the unskipped scan.
+
+    A pass whose bar lies above every cached bound can neither evaluate
+    nor insert anything, and leaves the bounds as they were, so the loop
+    steps straight to the first bar at or below the largest bound (or to
+    the floor) without scanning.  Each bar is still tau_max/(1+epsilon)**j
+    at the same pass index j, so the pass count, tau_min, the log and the
+    query and check counts are those of the pass-by-pass loop.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
@@ -195,8 +202,7 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     passes = 0
     tau = tau_max
     while tau > tau_floor:
-        for e in np.flatnonzero((bounds[0] >= tau) | (bounds[1] >= tau)):
-            e = int(e)
+        for e in ((bounds[0] >= tau) | (bounds[1] >= tau)).nonzero()[0].tolist():
             best_gain = -math.inf
             best_side = 0
             best_val = 0.0
@@ -221,6 +227,12 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
                 bounds[:, e] = -np.inf
         passes += 1
         tau = tau_max / (1.0 + epsilon) ** passes
+        # a pass whose bar is above every bound evaluates and inserts
+        # nothing, so step over it; a NaN bound makes this test False
+        top = bounds.max()
+        while tau > top and tau > tau_floor:
+            passes += 1
+            tau = tau_max / (1.0 + epsilon) ** passes
     params.update(passes=passes, tau_min=tau_max / (1.0 + epsilon) ** (passes - 1))
 
     return _report("twin_greedy_fast", ground, params, s, fval, log, f, constraint, start)

@@ -33,6 +33,13 @@ def test_gen_graph_er_zero_probability(tmp_path, capsys):
     assert manifest["seed"] == 1 and str(out) in manifest["files"]
 
 
+# sha256 of the graph and parts files of `gen-graph --model er --n 30
+# --p 0.4 --weights 0,1 --groups 3 --seed 7`, recorded when the generators
+# still built their edges and groups one NumPy scalar at a time.
+GEN_GRAPH_SHA256 = ("589e94391a451e4fed271419897815e4f7b9400a05870210f0e2dbee8a314231",
+                    "fffa35cd9b4f2c498f9a0dad6660a5fd52a152d17e277aa32f64799ab35e475c")
+
+
 def test_gen_graph_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):
@@ -40,6 +47,8 @@ def test_gen_graph_byte_identical_reruns(tmp_path):
                  "--weights", "0,1", "--groups", "3", "--seed", "7", "--out", str(out)])
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.txt.parts").read_bytes() == (tmp_path / "b.txt.parts").read_bytes()
+    assert (hashlib.sha256(a.read_bytes()).hexdigest(),
+            hashlib.sha256((tmp_path / "a.txt.parts").read_bytes()).hexdigest()) == GEN_GRAPH_SHA256
 
 
 def test_gen_graph_ba_edge_count(tmp_path):

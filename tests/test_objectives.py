@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -56,6 +57,56 @@ def test_cut_sparse_path_matches_edge_scan():
     for _ in range(20):
         mask = rng.getrandbits(n)
         assert f.evaluate(mask) == pytest.approx(helpers.naive_cut(graph, mask), abs=1e-6)
+
+
+@st.composite
+def sparse_edge_lists(draw):
+    """Node count on the sparse cut path and an edge list with parallel
+    edges in both orientations, self-loops and zero weights; maybe none."""
+    n = draw(st.integers(objmod._SPARSE_MIN_NODES, objmod._SPARSE_MIN_NODES + 40))
+    ids = st.integers(0, n - 1)
+    weights = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    edges = draw(st.lists(st.tuples(ids, ids, weights), max_size=60))
+    if edges:
+        u, v, _ = edges[draw(st.integers(0, len(edges) - 1))]
+        edges += [(u, v, draw(weights)), (v, u, draw(weights)), (u, u, draw(weights))]
+    return n, edges
+
+
+def _edge_loop_adjacency(n, edges):
+    """The symmetric CSR adjacency built one edge at a time: the reference
+    for the column-wise construction."""
+    rows, cols, vals = [], [], []
+    for u, v, w in edges:
+        rows += [u, v]
+        cols += [v, u]
+        vals += [w, w]
+    return sp.csr_matrix((np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(n, n))
+
+
+@given(sparse_edge_lists())
+def test_sparse_cut_adjacency_equals_the_edge_loop(case):
+    n, edges = case
+    adj = t.CutMonitorObjective(t.WeightedGraph(n, edges))._adj
+    ref = _edge_loop_adjacency(n, edges)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(adj, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(sparse_edge_lists(), st.data())
+def test_sparse_cut_rejects_the_first_bad_edge_as_validate_does(case, data):
+    n, edges = case
+    bad = [(0, n, 1.0), (-1, 0, 1.0), (n + 7, -3, 0.0), (0, 1, -0.5), (1, 0, float("nan")),
+           (2, 2, float("inf")), (n, 0, -1.0)]
+    for edge in data.draw(st.lists(st.sampled_from(bad), min_size=1, max_size=3)):
+        edges.insert(data.draw(st.integers(0, len(edges))), edge)
+    graph = t.WeightedGraph(n, edges)
+    with pytest.raises(t.ContractViolation) as want:
+        graph.validate()
+    with pytest.raises(t.ContractViolation) as got:
+        t.CutMonitorObjective(graph)
+    assert str(got.value) == str(want.value)
 
 
 @st.composite
@@ -120,12 +171,25 @@ def test_grown_cut_base_equals_a_fresh_one(case, k):
     assert _same_base(_base_arrays(base), _base_arrays(f.base(s)))
 
 
+def _off_extensions(f, s, e):
+    """Sets near s + e, none of them s + e plus one id: s + e itself, s,
+    nothing, e swapped for an id outside s + e, and two such ids added."""
+    grown = s | 1 << e
+    free = [u for u in range(f.n) if not (grown >> u) & 1]
+    masks = [grown, s, 0]
+    if free:
+        masks.append(s | 1 << free[0])
+    if len(free) > 1:
+        masks.append(grown | 1 << free[0] | 1 << free[-1])
+    assert all(objmod._added(grown, mask, f.n) < 0 for mask in masks)
+    return masks
+
+
 @given(sparse_cut_cases())
 def test_based_cut_query_off_an_extension_falls_back(case):
     f, s, e = case
     base = f.base(s | 1 << e)
-    others = [u for u in range(f.n) if u != e]
-    for mask in (s | 1 << e, s, s | 1 << others[0] | 1 << others[-1], s ^ 1 << e ^ 1 << others[1]):
+    for mask in _off_extensions(f, s, e):
         q0 = f.query_count
         assert f.evaluate(mask, base) == f.evaluate(mask)
         assert f.query_count == q0 + 2
@@ -330,11 +394,7 @@ def test_based_marketing_query_off_an_extension_falls_back(case, seed):
     s = masks[0]
     for e in _outside(f, s, rng):
         base = f.base(s | 1 << e)
-        free = [u for u in range(f.n) if not ((s | 1 << e) >> u) & 1]
-        queries = [s | 1 << e, s, 0]  # the base's own set, e taken out, nothing
-        if free:  # e swapped for another id, and two ids added
-            queries += [s | 1 << free[0], s | 1 << e | 1 << free[0] | 1 << free[-1]]
-        for mask in queries:
+        for mask in _off_extensions(f, s, e):
             q0 = f.query_count
             assert f.evaluate(mask, base) == f.evaluate(mask)
             assert f.query_count == q0 + 2

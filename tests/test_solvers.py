@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -266,7 +267,8 @@ def _rescan_twin_greedy(f, constraint, ground):
 
 
 def _rescan_twin_greedy_fast(f, constraint, ground, epsilon):
-    """Literal per-pass full scan reference for the thresholded solver."""
+    """Literal per-pass full scan reference for the thresholded solver;
+    returns the sides, the log as tuples and the number of passes."""
     n = ground.n
     f_empty = f.evaluate(0)
     singles = {e: f.evaluate(1 << e) for e in range(n)
@@ -275,7 +277,7 @@ def _rescan_twin_greedy_fast(f, constraint, ground, epsilon):
     fval = [f_empty, f_empty]
     entries = []
     if not singles or max(singles.values()) <= 0:
-        return s, entries
+        return s, entries, 0
     tau_max = max(singles.values())
     r = t.rank(constraint, ground)
     floor = epsilon * tau_max / (r * (1.0 + epsilon))
@@ -299,7 +301,7 @@ def _rescan_twin_greedy_fast(f, constraint, ground, epsilon):
                 s[i] |= 1 << e
                 fval[i] = vals[i]
         j += 1
-    return s, entries
+    return s, entries, j
 
 
 def test_twin_greedy_matches_rescan_reference_bit_exactly():
@@ -314,21 +316,98 @@ def test_twin_greedy_matches_rescan_reference_bit_exactly():
         assert entries == [(ent.element, ent.side, ent.gain) for ent in lazy.log.entries]
 
 
+def _assert_matches_rescan(lazy, rescan):
+    sides, entries, passes = rescan
+    assert [sides[0], sides[1]] == [lazy.s1, lazy.s2]
+    assert entries == [(ent.element, ent.side, ent.gain, ent.threshold)
+                       for ent in lazy.log.entries]
+    params = lazy.parameters
+    assert params["passes"] == passes
+    tau_min = params["tau_max"] / (1.0 + params["epsilon"]) ** (passes - 1) if passes else None
+    assert params["tau_min"] == tau_min
+
+
 def test_twin_greedy_fast_matches_rescan_reference_bit_exactly():
     for idx in range(60):
         n = 5 + idx % 6
         graph, ground, oracle, constraint = helpers.cut_instance_dyadic(n, seed=8900 + idx)
         lazy = t.twin_greedy_fast(oracle(), constraint(), ground, 0.1)
-        sides, entries = _rescan_twin_greedy_fast(oracle(), constraint(), ground, 0.1)
-        assert [sides[0], sides[1]] == [lazy.s1, lazy.s2]
-        assert entries == [(ent.element, ent.side, ent.gain, ent.threshold)
-                           for ent in lazy.log.entries]
+        _assert_matches_rescan(lazy, _rescan_twin_greedy_fast(oracle(), constraint(), ground, 0.1))
     graph, ground, oracle, constraint = helpers.cut_instance(9, seed=8100)
     for solver in (lambda: t.twin_greedy(oracle(), constraint(), ground),
                    lambda: t.twin_greedy_fast(oracle(), constraint(), ground, 0.1)):
         a = json.dumps(solver().to_dict(include_timing=False), sort_keys=True)
         b = json.dumps(solver().to_dict(include_timing=False), sort_keys=True)
         assert a == b
+
+
+def _report_sha256(report):
+    payload = json.dumps(report.to_dict(include_timing=False), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _gap_instance():
+    """One weight of 1000 and fifteen of 1 under a rank-12 uniform matroid
+    with epsilon 0.01: 714 passes, of which only the first (the 1000) and
+    the one whose bar first drops to 1 insert anything."""
+    return (t.ModularObjective([1000.0] + [1.0] * 15), t.UniformMatroid(16, 12),
+            t.GroundSet(16), 0.01)
+
+
+def test_twin_greedy_fast_walks_a_ladder_of_empty_passes():
+    f, constraint, ground, epsilon = _gap_instance()
+    report = t.twin_greedy_fast(f, constraint, ground, epsilon)
+    assert report.parameters["passes"] == 714
+    assert len({ent.threshold for ent in report.log.entries}) == 2
+    _assert_matches_rescan(report, _rescan_twin_greedy_fast(*_gap_instance()))
+    # a bound exactly on a later bar: that pass runs and inserts at that bar
+    bar = 1000.0 / 1.01 ** 5
+    report = t.twin_greedy_fast(t.ModularObjective([1000.0, bar]), t.UniformMatroid(2, 2),
+                                t.GroundSet(2), 0.01)
+    assert [ent.threshold for ent in report.log.entries] == [1000.0, bar]
+
+
+# sha256 of `twin_greedy_fast(...).to_dict(include_timing=False)`, recorded
+# before passes whose bar lies above every cached bound were skipped: the
+# certify-small sizes (n 8..15, partition matroid or an intersection of
+# two, cap 3) and the gap instance.  Values, logs, pass counts, tau_min
+# and query and check counts are pinned.
+TWINFAST_SHA256 = {
+    0: "439c7c5b01f23679d5ad0b00ccc342a3b00ab39fb75c91da2596dbe03daca427",
+    1: "ec47b91c0dc7d0071ec1fcc139fe2a485c72ebb336a99c725f741d597a7cd936",
+    2: "149efbafbf99d11700875557939f11d930b7ed3770fe0be20afca0f97691cfe0",
+    3: "88d507ce943a685f16f2a819a27c8091522d12a296cc59310f045fa26d84ea3c",
+    4: "c2725d30643655c95dc64a2cbbff73de12787cecb97e00946fb640054bf69877",
+    5: "067d081a4f64f5c8b0aa302f4ae129c2cf973386231ca871e6f21c689520cdeb",
+    6: "985951555a7cf26ff5d6874e27df8f10d7704e5739d9d3bae5e66af7f3903f11",
+    7: "c09f4d4c480448cc98a8a5ba09cba577be28c790a26c8ab7ec9bfc1c7fbdb13f",
+    8: "d3320f87663b9888bf2bf8234cbad9868376b6daad1b2aa02f05d161bc02e549",
+    9: "276b1e840075b59feb2f9b2b46b84aff33aa262fb9c0d3df41c5aec5891b73dc",
+    10: "bb6fe8ca259e3620f22e7aa7e7d6ca1014c8e6a9706ce054cbcb089fabb3eeb9",
+    11: "1541ff61dc0d0600612ea33213afba5ca04738b3c01e034372943a023abae7d6",
+    12: "015c5cee931ac93ed2237249d609ba685cf82b494e7b9ca18e0b9ec0c4512041",
+    13: "b9c30c1b2f7ce96ef5afccfe292d6800ecdab22f35a622e17082dfc8e592fcac",
+    14: "579a5e85898e93179ead0cc762ad6ef4f160df941539641c44e3f351c2d02cbe",
+    15: "9fb93597211440ede5813edb711cfb58c98ab30bd10a158934e7ca7279fbe580",
+    16: "73084458d85dc5cb1a375781e167802f980a900758c625c17534b8596218df98",
+    17: "e27c1f73ff4006144620b88615626f51183a47cb01a8a77f7f3ec1f78c70fb1d",
+    18: "72d5ad29f0883c9e641419ecdc68a45612b302214ffb64294f597a3cc3a454f7",
+    19: "b15c77062f02875c3d35da81ef3c61f26d01157494b263c3b53c66ba6abb9142",
+    "gap": "4b8182e4971b8cfaafdade4ae585fe989cd2b050b62afa4a8ca0a20ed816003f",
+}
+
+
+@pytest.mark.parametrize("key, digest", TWINFAST_SHA256.items(),
+                         ids=[str(key) for key in TWINFAST_SHA256])
+def test_twin_greedy_fast_report_is_pinned(key, digest):
+    if key == "gap":
+        report = t.twin_greedy_fast(*_gap_instance())
+    else:
+        n = 8 + key % 8
+        build = helpers.cut_instance if key // 8 % 2 == 0 else helpers.psystem_instance
+        graph, ground, oracle, constraint = build(n, seed=9400 + key, cap=3)
+        report = t.twin_greedy_fast(oracle(), constraint(), ground, 0.1)
+    assert _report_sha256(report) == digest
 
 
 SOLVE_NAMES = {"twin": "twin_greedy", "twinfast": "twin_greedy_fast",
