@@ -12,15 +12,18 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 from . import certify as certify_mod
 from . import constraints as cons
 from . import generators as gen
 from . import objectives as obj
-from .core import ContractViolation, GroundSet, ParameterError, read_rows
+from .core import ContractViolation, GroundSet, ParameterError, read_fixed_rows, read_rows
 from .solvers import SolverParams, exact_max, solve
 
 CSV_HEADER = ["algo", "axis", "rep", "utility", "value_queries",
@@ -113,9 +116,18 @@ def parse_constraint_spec(spec: str, n: int):
 # objective assembly
 
 
+def _weight_row(fields, header):
+    w = float(*fields)
+    if not math.isfinite(w):
+        raise ContractViolation(f"weight {w} must be finite")
+    return (w,)
+
+
 def _load_modular_weights(path):
-    """One weight per line."""
-    return read_rows(path, "weight", lambda fields, _: float(*fields))[1]
+    """One finite weight per line."""
+    rows = read_fixed_rows(path, "weight", _weight_row, (float,),
+                           lambda header, w: bool(np.isfinite(w).all()))[1]
+    return [w for w, in rows]
 
 
 def build_objective(args):

@@ -7,8 +7,12 @@ expressions and makes the solver inner loops allocation-free.
 
 from __future__ import annotations
 
+import os
 import random
+import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class ContractViolation(ValueError):
@@ -79,7 +83,11 @@ def read_rows(path, shape: str, convert, keys=()) -> tuple[dict[str, int], list]
     any row, and no count may exceed MAX_HEADER_COUNT.  Each other line
     becomes `convert(fields, header)`.  Errors are raised as
     ContractViolation `PATH:LINE: ...`, citing `shape` for a line that
-    does not parse (`expected 'node cost', got '1'`)."""
+    does not parse (`expected 'node cost', got '1'`).
+
+    This per-line reader is the reference for every input file: what it
+    accepts, what it returns and each error message.  `read_fixed_rows`
+    parses fixed-width files in bulk and falls back to it."""
     header: dict[str, int] = {}
     rows = []
     with open(path, errors="replace") as fh:  # undecodable bytes fail to parse
@@ -95,13 +103,7 @@ def read_rows(path, shape: str, convert, keys=()) -> tuple[dict[str, int], list]
                 if words and words[0] in keys:
                     if rows:
                         raise ContractViolation("the header must come before the first row")
-                    for key in set(keys) & set(words):
-                        header[key] = int(words[words.index(key) + 1])
-                    if min(header.values()) < 0:
-                        raise ValueError
-                    if max(header.values()) > MAX_HEADER_COUNT:
-                        raise ContractViolation(
-                            f"header count {max(header.values())} is above {MAX_HEADER_COUNT}")
+                    _add_header(words, keys, header)
             except ContractViolation as exc:
                 raise ContractViolation(f"{path}:{lineno}: {exc}") from None
             except (ValueError, TypeError, IndexError):
@@ -110,13 +112,93 @@ def read_rows(path, shape: str, convert, keys=()) -> tuple[dict[str, int], list]
     return header, rows
 
 
+def _add_header(words: list[str], keys, header: dict[str, int]) -> None:
+    """Put the counts of the header line `# words...` into `header`."""
+    for key in set(keys) & set(words):
+        header[key] = int(words[words.index(key) + 1])
+    if min(header.values()) < 0:
+        raise ValueError
+    if max(header.values()) > MAX_HEADER_COUNT:
+        raise ContractViolation(f"header count {max(header.values())} is above {MAX_HEADER_COUNT}")
+
+
+# the field kinds np.loadtxt parses for read_fixed_rows: ids and values
+_FIELD_DTYPES = {int: np.int64, float: np.float64}
+
+# Below this many bytes (about 160 edges) read_fixed_rows reads a file line
+# by line: one np.loadtxt call costs as much as the Python loop from about
+# 40 edges on when a file is read again and again, and more in a set-up that
+# does other work between loads (perfbench certify-small, up to 52 edges).
+_BULK_MIN_BYTES = 4096
+
+
+def read_fixed_rows(path, shape: str, convert, kinds, valid=None,
+                    keys=()) -> tuple[dict[str, int], list[tuple]]:
+    """What `read_rows(path, shape, convert, keys)` returns, for a file
+    whose rows hold `len(kinds)` fields and where `convert` returns each
+    row as the tuple `(kinds[0](field0), ...)` or fails as read_rows
+    expects.
+
+    The rows after the leading header and comment lines are parsed in one
+    np.loadtxt pass (int as int64, float as float64), and
+    `valid(header, *columns)` checks the column arrays against `convert`'s
+    rules.  The file is read by read_rows instead, which raises the first
+    bad line's error or returns the rows, whenever loadtxt fails or warns
+    (a token `int()` or `float()` reads and loadtxt does not, a comment or
+    header after the first row, a row of another width), `valid` is
+    False, a kind is neither int nor float or the file is under
+    _BULK_MIN_BYTES.  So read_rows stays the reference: the accepted
+    grammar, the values and every error message are its own."""
+    if os.path.getsize(path) >= _BULK_MIN_BYTES:
+        loaded = _load_fixed_rows(path, kinds, keys)
+        if loaded is not None:
+            header, data = loaded
+            if valid is None or valid(header, *(data[name] for name in data.dtype.names)):
+                return header, data.tolist()
+    return read_rows(path, shape, convert, keys)
+
+
+def _load_fixed_rows(path, kinds, keys) -> tuple[dict[str, int], np.ndarray] | None:
+    """Header and structured row array of a file whose rows np.loadtxt
+    reads, or None where read_rows must read it."""
+    if any(kind not in _FIELD_DTYPES for kind in kinds):
+        return None
+    dtype = np.dtype([(f"f{i}", _FIELD_DTYPES[kind]) for i, kind in enumerate(kinds)])
+    header: dict[str, int] = {}
+    with open(path, errors="replace") as fh:
+        while True:  # the leading lines, as read_rows reads them
+            start = fh.tell()
+            line = fh.readline()
+            if not line:  # no rows
+                return None
+            fields = line.split()
+            if not fields:
+                continue
+            if fields[0][0] != "#":
+                break
+            words = line.strip()[1:].split()
+            if words and words[0] in keys:
+                try:
+                    _add_header(words, keys, header)
+                except (ValueError, TypeError, IndexError):
+                    return None
+        fh.seek(start)  # loadtxt reads on from the first row
+        with warnings.catch_warnings():
+            # NumPy 1.x only warns when it reads a float string such as `3.0` as an int
+            warnings.simplefilter("error")
+            try:
+                return header, np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
+            except (ValueError, Warning):
+                return None
+
+
 def read_dense(path, shape: str, kind) -> list:
     """Values of an `id value` file whose ids cover 0..n-1 exactly once."""
     def row(fields, header):
         e, value = fields
         return int(e), kind(value)
 
-    rows = read_rows(path, shape, row)[1]
+    rows = read_fixed_rows(path, shape, row, (int, kind))[1]
     values = [None] * len(rows)
     for e, value in rows:
         if not 0 <= e < len(rows) or values[e] is not None:

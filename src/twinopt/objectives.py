@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec  # the row kernel behind csr_matrix.dot
 
 from .core import (MAX_HEADER_COUNT, ContractViolation, ValueOracle, bitmask, members, read_dense,
-                   read_rows, write_rows)
+                   read_fixed_rows, read_rows, write_rows)
 
 # below this many nodes a Python adjacency scan beats the sparse matvec
 _SPARSE_MIN_NODES = 192
@@ -72,9 +72,16 @@ def _edge_row(fields, header):
     return u, v, w
 
 
+def _edges_valid(header, u, v, w) -> bool:
+    """`_edge_row`'s rule over the columns of an edge list."""
+    n = header.get("nodes", MAX_HEADER_COUNT)
+    return bool(((0 <= u) & (u < n) & (0 <= v) & (v < n) & (0 <= w) & (w < math.inf)).all())
+
+
 def load_edge_list(path, directed: bool | None = None) -> WeightedGraph:
     """Read a graph; without a `# nodes N` header, n is 1 + the largest id."""
-    header, edges = read_rows(path, "u v w", _edge_row, keys=("nodes", "directed"))
+    header, edges = read_fixed_rows(path, "u v w", _edge_row, (int, int, float), _edges_valid,
+                                    keys=("nodes", "directed"))
     if "nodes" in header:
         n_nodes = header["nodes"]
     else:
@@ -385,11 +392,14 @@ def _cover_index(sets: list[int], n_nodes: int) -> list[int]:
 
 
 class ModularObjective(ValueOracle):
-    """f(S) = sum of per-element weights; weights may be negative."""
+    """f(S) = sum of per-element weights; weights may be negative, not NaN
+    or infinite."""
 
     def __init__(self, weights):
         super().__init__()
         self.weights = [float(w) for w in weights]
+        if not all(map(math.isfinite, self.weights)):
+            raise ContractViolation("modular weights must be finite")
         self.n = len(self.weights)
 
     def _value(self, mask: int) -> float:

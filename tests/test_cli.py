@@ -2,17 +2,21 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinopt as t
+import twinopt.core as core
 from twinopt import cli
+from twinopt.constraints import load_partition
 from twinopt.core import MAX_HEADER_COUNT
 from twinopt.objectives import load_edge_list, load_rr_sets
 
@@ -49,6 +53,28 @@ def test_gen_graph_byte_identical_reruns(tmp_path):
     assert (tmp_path / "a.txt.parts").read_bytes() == (tmp_path / "b.txt.parts").read_bytes()
     assert (hashlib.sha256(a.read_bytes()).hexdigest(),
             hashlib.sha256((tmp_path / "a.txt.parts").read_bytes()).hexdigest()) == GEN_GRAPH_SHA256
+
+
+# sha256 of the graph and parts files of the criterion-8 instance, `gen-graph
+# --model er --n 1000 --p 0.1 --weights 0,1 --groups 5 --seed 42`, recorded
+# when every input file was read line by line.
+CRITERION_8_SHA256 = ("ef2f3af1d04492f5ccfcc8679d29baaa151677db2cda3b88831b9b0878fe8d5b",
+                      "06919a194725952e79d1cd8c6da4e71d6d9ba5529f220bf831e091664196c8c4")
+
+
+def test_criterion_8_graph_loads_alike_through_both_readers(tmp_path):
+    out = tmp_path / "er1000.txt"
+    assert run_cli(["gen-graph", "--model", "er", "--n", "1000", "--p", "0.1", "--weights", "0,1",
+                    "--groups", "5", "--seed", "42", "--out", str(out)]) == 0
+    parts = tmp_path / "er1000.txt.parts"
+    assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(parts.read_bytes()).hexdigest()) == CRITERION_8_SHA256
+    with mock.patch.object(core, "read_rows", wraps=core.read_rows) as per_line:
+        graph, part_of = load_edge_list(out), load_partition(parts)
+    assert not per_line.called  # both read in bulk
+    with mock.patch.object(core, "_BULK_MIN_BYTES", math.inf):
+        assert load_edge_list(out) == graph and load_partition(parts) == part_of
+    assert (graph.n_nodes, len(graph.edges), len(part_of)) == (1000, 49929, 1000)
 
 
 def test_gen_graph_ba_edge_count(tmp_path):
@@ -479,6 +505,11 @@ BAD_INPUTS = {
     "graph-header-not-a-number": ({"g.txt": "# nodes abc\n0 1 1.0\n"}, CUT,
                                   "g.txt:1: expected '# nodes N directed N'"),
     "graph-id-past-header": ({"g.txt": "# nodes 2\n0 1 1.0\n1 2 1.0\n"}, CUT, "g.txt:3:"),
+    **{f"modular-weight-{bad}": (
+        {"w.txt": f"1.0\n{bad}\n"},
+        ["run", "--algo", "twin", "--objective", "modular", "--weights-file", "@w.txt",
+         "--constraint", "uniform:k=2"], f"w.txt:2: weight {float(bad)} must be finite")
+       for bad in ("nan", "inf", "-inf")},
     "modular-weight-not-a-number": (
         {"w.txt": "1.0\nabc\n"},
         ["run", "--algo", "twin", "--objective", "modular", "--weights-file", "@w.txt",

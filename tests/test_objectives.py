@@ -1,14 +1,19 @@
 import copy
+import math
+import os
 import random
 import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinopt as t
+import twinopt.core as core
 import twinopt.objectives as objmod
 from twinopt import cli
 from twinopt.constraints import load_partition, save_partition
@@ -457,6 +462,12 @@ def test_modular_objective_sums_weights():
     assert f.evaluate(0b111) == 3.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_modular_objective_rejects_non_finite_weights(bad):
+    with pytest.raises(t.ContractViolation, match="finite"):
+        t.ModularObjective([1.0, bad, -2.0])
+
+
 def test_coverage_objective_counts_union_once():
     f = t.CoverageObjective([1.0, 2.0, 4.0], covers=[0b011, 0b110])
     assert f.evaluate(0b01) == 3.0
@@ -602,3 +613,151 @@ def test_graph_validate_rejects_bad_edges():
         t.WeightedGraph(2, [(0, 5, 1.0)]).validate()
     with pytest.raises(t.ContractViolation):
         t.WeightedGraph(2, [(0, 1, -1.0)]).validate()
+
+
+# ---------------------------------------------------------------------------
+# the bulk reader (core.read_fixed_rows) against the per-line reference
+
+BULK_LOADERS = {
+    "edges": load_edge_list,
+    "costs": load_costs,
+    "partition": load_partition,
+    "weights": cli._load_modular_weights,
+}
+# tokens int() or float() and loadtxt may read differently, or not at all
+NUMBERS = ["+3", "-0", "-1", "007", "9", str(2 ** 24), "3.0", "1_0", ".5", "5.", "1e400", "1e-400",
+           "nan", "inf", "-inf", "0x10", "\u0663", "x", str(2 ** 63), str(2 ** 64)]
+GAPS = ["\t", "\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "  "]
+ODD_LINES = ["", "   ", "\xa0", "# c", "#", "# nodes 3", "# nodes 9 directed 1", "# directed 1"]
+
+
+@st.composite
+def column_file(draw, kind):
+    """A valid file of `kind`, then up to three edits: a field replaced by
+    an odd token, a gap by odd whitespace, a trailing comment, an odd line
+    added, a line deleted or a row repeated; one line ending throughout.
+    Returns (text, edited)."""
+    n = draw(st.integers(1, 8))
+    value = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if kind == "edges":
+        ids = st.integers(0, n - 1)
+        lines = draw(st.sampled_from([[], [f"# nodes {n} directed 0"],
+                                      ["# a graph", f"# nodes {n}"]]))
+        lines += [f"{draw(ids)} {draw(ids)} {draw(st.floats(0, 1e300).map(repr))}"
+                  for _ in range(draw(st.integers(1, 8)))]
+    elif kind == "weights":
+        lines = [draw(value) for _ in range(n)]
+    else:
+        labels = value if kind == "costs" else st.integers(-10 ** 6, 10 ** 6).map(str)
+        lines = [f"{e} {draw(labels)}" for e in draw(st.permutations(range(n)))]
+    edits = draw(st.integers(0, 3))
+    for _ in range(edits):
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        fields = lines[i].split(" ") if lines else [""]
+        j = draw(st.integers(0, len(fields) - 1))
+        edit = draw(st.sampled_from(["field", "field", "field", "gap", "comment", "line", "delete",
+                                     "repeat"]))
+        if edit == "field":
+            fields[j] = draw(st.sampled_from(NUMBERS))
+            lines[i:i + 1] = [" ".join(fields)]
+        elif edit == "gap":
+            lines[i:i + 1] = [draw(st.sampled_from(GAPS)).join(fields)]
+        elif edit == "comment":
+            lines[i:i + 1] = [" ".join(fields) + " # c"]
+        elif edit == "line":
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_LINES)))
+        else:
+            lines[i:i + 1] = [] if edit == "delete" else lines[i:i + 1] * 2
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""])), edits > 0
+
+
+def _load(loader, path, min_bytes):
+    """What `loader` returns, as its repr (NaN equals NaN, -0.0 is not
+    0.0), or the ContractViolation it raises; files from `min_bytes` on
+    are read in bulk."""
+    with mock.patch.object(core, "_BULK_MIN_BYTES", min_bytes):
+        try:
+            return repr(loader(path))
+        except t.ContractViolation as exc:
+            return f"ContractViolation: {exc}"
+
+
+@pytest.mark.parametrize("kind", BULK_LOADERS)
+@settings(max_examples=100, derandomize=True)
+@given(data=st.data())
+def test_bulk_reader_matches_the_per_line_reader(kind, data):
+    text, edited = data.draw(column_file(kind))
+    loader = BULK_LOADERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{kind}.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        with mock.patch.object(core, "read_rows", wraps=core.read_rows) as per_line:
+            bulk = _load(loader, path, 0)
+        assert bulk == _load(loader, path, math.inf)
+    if not edited:  # a valid file never needs the per-line reader
+        assert not per_line.called
+
+
+# a valid file of each kind, as lines
+VALID_LINES = {
+    "edges": ["# nodes 4 directed 0", "0 1 0.5", "1 2 1e-3", "2 3 7"],
+    "costs": ["1 0.25", "0 1.5", "2 -3"],
+    "partition": ["2 0", "0 1", "1 -4"],
+    "weights": ["1.5", "-2", "0.1"],
+}
+
+
+def _one_edit_variants(lines):
+    """`lines` with each field of each row replaced by each odd token, each
+    row's gaps by each odd whitespace, a trailing comment on each row, and
+    each odd line put at each place."""
+    out = []
+    for i, line in enumerate(lines):
+        fields = line.split()
+        if fields[0][0] == "#":
+            continue
+        for j in range(len(fields)):
+            out += [lines[:i] + [" ".join(fields[:j] + [tok] + fields[j + 1:])] + lines[i + 1:]
+                    for tok in NUMBERS]
+        out += [lines[:i] + [gap.join(fields)] + lines[i + 1:] for gap in GAPS]
+        out.append(lines[:i] + [line + " # c"] + lines[i + 1:])
+    for i in range(len(lines) + 1):
+        out += [lines[:i] + [odd] + lines[i:] for odd in ODD_LINES]
+    return out
+
+
+@pytest.mark.parametrize("kind", BULK_LOADERS)
+def test_bulk_reader_matches_the_per_line_reader_edit_by_edit(tmp_path, kind):
+    loader, path = BULK_LOADERS[kind], tmp_path / f"{kind}.txt"
+    path.write_text("\n".join(VALID_LINES[kind]) + "\n")
+    with mock.patch.object(core, "read_rows", wraps=core.read_rows) as per_line:
+        assert _load(loader, path, 0) == _load(loader, path, math.inf)
+        assert per_line.call_count == 1  # the reference's own read only
+    for lines in _one_edit_variants(VALID_LINES[kind]):
+        for end in ("\n", "\r\n", "\r"):
+            path.write_bytes((end.join(lines) + end).encode())
+            assert _load(loader, path, 0) == _load(loader, path, math.inf), (lines, end)
+
+
+def test_bulk_reader_falls_back_on_interior_comments(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# nodes 4 directed 0\n0 1 0.5\n# a comment\n\n1 2 1e-3\n#\n2 3 7\n")
+    with mock.patch.object(core, "_BULK_MIN_BYTES", 0), \
+            mock.patch.object(core, "read_rows", wraps=core.read_rows) as per_line:
+        graph = load_edge_list(path)
+    assert per_line.call_count == 1
+    assert graph == t.WeightedGraph(4, [(0, 1, 0.5), (1, 2, 1e-3), (2, 3, 7.0)])
+    assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in graph.edges)
+
+
+def test_small_files_are_read_line_by_line(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("1.5\n" * (core._BULK_MIN_BYTES // 4 - 1))
+    with mock.patch.object(core, "read_rows", wraps=core.read_rows) as per_line:
+        assert cli._load_modular_weights(path) == [1.5] * (core._BULK_MIN_BYTES // 4 - 1)
+        assert per_line.call_count == 1
+        path.write_text("1.5\n" * (core._BULK_MIN_BYTES // 4))
+        assert cli._load_modular_weights(path) == [1.5] * (core._BULK_MIN_BYTES // 4)
+        assert per_line.call_count == 1
