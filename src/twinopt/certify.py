@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .constraints import rank
 from .core import (CallableOracle, ContractViolation, GroundSet, InsertionLog, RunReport,
-                   ValueOracle, bitmask, members)
+                   ValueOracle, bitmask, left_sum, members)
 
 
 class CertificationError(RuntimeError):
@@ -214,7 +214,7 @@ def check_gain_bounds(f: ValueOracle, report: RunReport, classes: ClassifiedOpti
             records.append(InequalityRecord(name, 0.0, 0.0, True))
             continue
         lhs = f.evaluate(base | cls_mask) - f.evaluate(base)
-        rhs = factor * sum(gains[mapping[e]] for e in members(cls_mask))
+        rhs = factor * left_sum(gains[mapping[e]] for e in members(cls_mask))
         records.append(InequalityRecord(name, lhs, rhs, lhs <= rhs + tol))
     return records
 

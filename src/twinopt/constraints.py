@@ -129,10 +129,13 @@ class IntersectionSystem(IndependenceOracle):
         return tuple(c.empty_state() for c in self.constituents)
 
     def _can_add(self, state, e):
-        return all(c._can_add(st, e) for c, st in zip(self.constituents, state))
+        for c, st in zip(self.constituents, state):
+            if not c._can_add(st, e):
+                return False
+        return True
 
     def add(self, state, e):
-        return tuple(c.add(st, e) for c, st in zip(self.constituents, state))
+        return tuple([c.add(st, e) for c, st in zip(self.constituents, state)])
 
 
 # ---------------------------------------------------------------------------

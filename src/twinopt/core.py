@@ -45,6 +45,18 @@ def members(mask: int) -> list[int]:
     return out
 
 
+def left_sum(values):
+    """Sum `values` one at a time from the left, starting from the int 0
+    as `sum()` does.  From Python 3.12 on, `sum()` of floats is
+    compensated (`sum([1e16, 1.0, -1e16])` is 1.0 there and 0.0 before),
+    so objective values, certificates and the runs built on them would
+    depend on the Python version; this gives the 3.10/3.11 `sum()` on all."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Dense ground set; elements are the integer ids 0..n-1."""
@@ -487,7 +499,7 @@ def submodularity_check(oracle: ValueOracle, ground: GroundSet, trials: int = 20
             parts[idx % t] |= 1 << e
         fx = oracle.evaluate(x)
         lhs = oracle.evaluate(y) - fx
-        rhs = sum(oracle.evaluate(z | x) - fx for z in parts)
+        rhs = left_sum(oracle.evaluate(z | x) - fx for z in parts)
         if lhs > rhs + tol:
             return False, {
                 "kind": "partition",

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec  # the row kernel behind csr_matrix.dot
 
-from .core import (MAX_HEADER_COUNT, ContractViolation, ValueOracle, bitmask, members, read_dense,
-                   read_fixed_rows, read_rows, write_rows)
+from .core import (MAX_HEADER_COUNT, ContractViolation, ValueOracle, bitmask, left_sum, members,
+                   read_dense, read_fixed_rows, read_rows, write_rows)
 
 # below this many nodes a Python adjacency scan beats the sparse matvec
 _SPARSE_MIN_NODES = 192
@@ -147,7 +147,8 @@ class CutMonitorObjective(ValueOracle):
             self._nbytes = (self.n + 7) // 8
         else:
             graph.validate()
-            self._lists = graph.in_adjacency()  # undirected: the neighbour lists
+            # undirected: each node's neighbours as (1 << v, w), in adjacency order
+            self._nbrs = [[(1 << v, w) for v, w in nbrs] for nbrs in graph.in_adjacency()]
 
     def _value(self, mask: int) -> float:
         if mask >> self.n:
@@ -155,11 +156,14 @@ class CutMonitorObjective(ValueOracle):
         if self._sparse:
             full = self._full_base(mask)
             return float(full.ind @ full.y)
-        total = 0.0
-        for u in members(mask):
-            for v, w in self._lists[u]:
-                if not (mask >> v) & 1:
+        total = 0.0  # members ascending, each one's edges in adjacency order
+        rest = mask
+        while rest:
+            low = rest & -rest
+            for bit, w in self._nbrs[low.bit_length() - 1]:
+                if not mask & bit:
                     total += w
+            rest ^= low
         return total
 
     def base(self, mask: int, prev: _CutBase | None = None) -> _CutBase | None:
@@ -323,7 +327,7 @@ class MarketingObjective(ValueOracle):
         self.m = len(collections)
         self.n_nodes = n_nodes
         self.costs = list(costs)
-        max_cost = self.m * sum(self.costs)
+        max_cost = self.m * left_sum(self.costs)
         self.budget = max_cost if budget is None else budget
         if not (math.isfinite(self.budget) and self.budget >= max_cost):
             raise ContractViolation(f"budget {self.budget} is below m * sum(costs) = {max_cost}")
@@ -354,7 +358,7 @@ class MarketingObjective(ValueOracle):
         e = _added(base.mask, mask, self.n)
         if e < 0:
             return self._value(mask)
-        u, i = unpack_seed_id(e, self.m)
+        u, i = divmod(e, self.m)  # unpack_seed_id, without the call on the query path
         terms = base.terms.copy()
         terms[i] = self._term(i, base.hit[i] | self._covers[i][u])
         k = bisect(base.ids, e)
@@ -370,7 +374,7 @@ class MarketingObjective(ValueOracle):
         """f of a non-empty set from its per-product terms and its cost.  A
         product that covers no set adds exactly 0.0, so summing every
         product gives rr_estimate's value bit for bit."""
-        return sum(terms) + (self.budget - cost)
+        return left_sum(terms) + (self.budget - cost)
 
 
 def _cover_index(sets: list[int], n_nodes: int) -> list[int]:
@@ -405,7 +409,7 @@ class ModularObjective(ValueOracle):
     def _value(self, mask: int) -> float:
         if mask >> self.n:
             raise ContractViolation("set contains out-of-range ids")
-        return sum(self.weights[e] for e in members(mask))
+        return left_sum(self.weights[e] for e in members(mask))
 
 
 class CoverageObjective(ValueOracle):
@@ -426,7 +430,7 @@ class CoverageObjective(ValueOracle):
         covered = 0
         for e in members(mask):
             covered |= self.covers[e]
-        return sum(self.item_weights[i] for i in members(covered))
+        return left_sum(self.item_weights[i] for i in members(covered))
 
 
 def load_costs(path) -> list[float]:

@@ -32,7 +32,9 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -158,12 +160,12 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     bounds skip evaluations that cannot clear the bar (see module note);
     the insertion sequence is identical to the unskipped scan.
 
-    A pass whose bar lies above every cached bound can neither evaluate
-    nor insert anything, and leaves the bounds as they were, so the loop
-    steps straight to the first bar at or below the largest bound (or to
-    the floor) without scanning.  Each bar is still tau_max/(1+epsilon)**j
-    at the same pass index j, so the pass count, tau_min, the log and the
-    query and check counts are those of the pass-by-pass loop.
+    Only its own scan changes an element's bounds, so it waits in the list
+    of the first pass whose bar tau_max/(1+epsilon)**j its larger non-NaN
+    bound reaches; pass j scans that list in id order, just the elements a
+    pass-by-pass loop would find clearing the bar.  Passes, tau_min, the
+    log and the query and check counts are that loop's; empty passes cost
+    nothing.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
@@ -176,12 +178,13 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     params: dict = {"epsilon": epsilon, "tie_break": TIE_BREAK}
 
     bases = [f.base(0)] * 2  # bases are never mutated, so both sides may share one
-    singleton = np.full(n, -np.inf)
-    empty_state = constraint.empty_state()
+    states = [constraint.empty_state(), constraint.empty_state()]
+    singleton = [-math.inf] * n
     for e in range(n):
-        if constraint.can_add(empty_state, e):
+        if constraint.can_add(states[0], e):
             singleton[e] = f.evaluate(1 << e, bases[0])
-    tau_max = float(singleton.max()) if n else -math.inf
+    # any NaN singleton makes tau_max NaN, wherever it stands
+    tau_max = math.nan if any(map(math.isnan, singleton)) else float(max(singleton, default=-math.inf))
     params["tau_max"] = None if math.isinf(tau_max) else tau_max
     if not tau_max > 0.0:
         params.update(passes=0, tau_min=None, rank=None)
@@ -191,49 +194,46 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     # and within a factor p of every base of a p-set system, so an optimal
     # set has at most p*r elements (certify_run checks that bound)
     r = constraint_rank(constraint, ground)
-    params["rank"] = r
     tau_floor = epsilon * tau_max / (r * (1.0 + epsilon))
+    bars = (tau_max / (1.0 + epsilon) ** j for j in count())
+    neg = [-tau for tau in takewhile(tau_floor.__lt__, bars)]  # ascending for bisect_left
+    tau_min = tau_max / (1.0 + epsilon) ** (len(neg) - 1)
+    params.update(rank=r, passes=len(neg), tau_min=tau_min)
 
-    states = [constraint.empty_state(), constraint.empty_state()]
     # upper bounds on the marginal gain of each (side, element) pair
-    bounds = np.where(np.isinf(singleton), -np.inf, singleton - f_empty)
-    bounds = np.vstack([bounds, bounds.copy()])
+    bounds = [[v - f_empty for v in singleton] for _ in (0, 1)]
+    due = [[] for _ in neg]  # due[j]: the elements pass j scans
+    for e, top in enumerate(bounds[0]):
+        if neg and top >= tau_min:  # an infinite tau_max leaves no pass
+            due[bisect_left(neg, -top)].append(e)
 
-    passes = 0
-    tau = tau_max
-    while tau > tau_floor:
-        for e in ((bounds[0] >= tau) | (bounds[1] >= tau)).nonzero()[0].tolist():
-            best_gain = -math.inf
-            best_side = 0
-            best_val = 0.0
+    for j, waiting in enumerate(due):
+        tau = -neg[j]
+        for e in sorted(waiting):
+            best_gain, best_side, best_val = -math.inf, 0, 0.0
             for i in (0, 1):
-                if bounds[i, e] < tau:
+                if bounds[i][e] < tau:
                     continue
                 if not constraint.can_add(states[i], e):
-                    bounds[i, e] = -np.inf
+                    bounds[i][e] = -math.inf
                     continue
                 val = f.evaluate(s[i] | (1 << e), bases[i])
                 gain = val - fval[i]
-                bounds[i, e] = gain
+                bounds[i][e] = gain
                 if gain > best_gain:  # strict keeps side 1 on ties
                     best_gain, best_side, best_val = gain, i, val
             if best_gain >= tau:
-                i = best_side
-                log.append(element=e, side=i + 1, gain=best_gain, threshold=tau)
-                s[i] |= 1 << e
-                fval[i] = best_val
-                states[i] = constraint.add(states[i], e)
-                bases[i] = f.base(s[i], bases[i])
-                bounds[:, e] = -np.inf
-        passes += 1
-        tau = tau_max / (1.0 + epsilon) ** passes
-        # a pass whose bar is above every bound evaluates and inserts
-        # nothing, so step over it; a NaN bound makes this test False
-        top = bounds.max()
-        while tau > top and tau > tau_floor:
-            passes += 1
-            tau = tau_max / (1.0 + epsilon) ** passes
-    params.update(passes=passes, tau_min=tau_max / (1.0 + epsilon) ** (passes - 1))
+                log.append(element=e, side=best_side + 1, gain=best_gain, threshold=tau)
+                s[best_side] |= 1 << e
+                fval[best_side] = best_val
+                states[best_side] = constraint.add(states[best_side], e)
+                bases[best_side] = f.base(s[best_side], bases[best_side])
+                continue
+            # both bounds are below tau: wait for the next bar the larger reaches
+            b0, b1 = bounds[0][e], bounds[1][e]
+            top = b0 if b0 >= b1 or b1 != b1 else b1
+            if top >= tau_min:
+                due[bisect_left(neg, -top, j + 1)].append(e)
 
     return _report("twin_greedy_fast", ground, params, s, fval, log, f, constraint, start)
 

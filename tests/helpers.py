@@ -26,23 +26,28 @@ def cut_instance(n, seed, p_edge=0.5, h=2, cap=2):
     return graph, ground, oracle, constraint
 
 
-def cut_instance_dyadic(n, seed, p_edge=0.5, h=2, cap=2):
+def cut_instance_dyadic(n, seed, p_edge=0.5, h=2, cap=2, p=1):
     """Cut instance with weights in {0/8..63/8}: all sums are exact in
-    binary floating point, so algorithm runs are free of rounding noise."""
-    import numpy as np
-
+    binary floating point, so algorithm runs are free of rounding noise.
+    With p > 1 the constraint is an intersection of p partition matroids,
+    grouped as in psystem_instance."""
     base = t.gen_er(n, p_edge, seed)
     rng = np.random.default_rng(seed + 7)
     edges = [(u, v, float(rng.integers(0, 64)) / 8.0) for u, v, _ in base.edges]
     graph = t.WeightedGraph(n, edges)
-    parts = t.assign_groups(n, h, seed + 13)
+    if p == 1:
+        groups = [t.assign_groups(n, h, seed + 13)]
+    else:
+        groups = [t.assign_groups(n, h, seed + 17 + i) for i in range(p)]
     ground = t.GroundSet(n)
 
     def oracle():
         return t.CutMonitorObjective(graph)
 
     def constraint():
-        return t.PartitionMatroid(parts, cap)
+        if p == 1:
+            return t.PartitionMatroid(groups[0], cap)
+        return t.IntersectionSystem([t.PartitionMatroid(g, cap) for g in groups])
 
     return graph, ground, oracle, constraint
 
@@ -106,6 +111,18 @@ def naive_cut(graph, mask):
     for u, v, w in graph.edges:
         if ((mask >> u) & 1) != ((mask >> v) & 1):
             total += w
+    return total
+
+
+def list_cut(graph, mask):
+    """The cut value as the list path first summed it: a nested loop over
+    the members, ascending, and each one's neighbour list."""
+    adj = graph.in_adjacency()
+    total = 0.0
+    for u in t.members(mask):
+        for v, w in adj[u]:
+            if not (mask >> v) & 1:
+                total += w
     return total
 
 

@@ -52,6 +52,19 @@ def test_cut_value_matches_edge_scan():
         assert f.evaluate(mask) == pytest.approx(helpers.naive_cut(graph, mask), abs=1e-9)
 
 
+@given(st.integers(1, objmod._SPARSE_MIN_NODES - 1), st.data())
+def test_list_path_cut_equals_the_nested_loop(n, data):
+    # parallel edges in both orientations, self-loops and zero weights; a
+    # dense corner and sevenths, so that the order of the additions shows
+    ids = st.one_of(st.integers(0, min(n - 1, 7)), st.integers(0, n - 1))
+    weights = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.integers(1, 99).map(lambda k: k / 7))
+    edges = data.draw(st.lists(st.tuples(ids, ids, weights), max_size=80))
+    graph = t.WeightedGraph(n, edges)
+    f = t.CutMonitorObjective(graph)
+    for mask in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6)):
+        assert f.evaluate(mask) == helpers.list_cut(graph, mask)
+
+
 def test_cut_sparse_path_matches_edge_scan():
     # large enough to take the sparse-matrix evaluation path
     n = objmod._SPARSE_MIN_NODES + 8
@@ -320,8 +333,10 @@ def _marketing_reference(f, mask):
         u, i = divmod(e, f.m)
         per_product[i] |= 1 << u
         cost += f.costs[u]
-    spread = sum(t.rr_estimate(f.collections[i], per_product[i])
-                 for i in range(f.m) if per_product[i])
+    spread = 0  # added left to right, as sum() did before Python 3.12
+    for i in range(f.m):
+        if per_product[i]:
+            spread += t.rr_estimate(f.collections[i], per_product[i])
     return spread + (f.budget - cost)
 
 
@@ -338,7 +353,7 @@ def marketing_instances(draw):
         sets = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
         collections.append(t.RRSetCollection(n, [s & ~(1 << cold) if i == 0 else s for s in sets]))
     costs = draw(st.lists(st.floats(0, 2), min_size=n, max_size=n))
-    budget = draw(st.one_of(st.none(), st.floats(0, 10).map(lambda x: m * sum(costs) + x)))
+    budget = draw(st.one_of(st.none(), st.floats(0, 10).map(lambda x: m * core.left_sum(costs) + x)))
     f = t.MarketingObjective(collections, costs, budget)
     masks = draw(st.lists(st.integers(0, (1 << (n * m)) - 1), min_size=1, max_size=20))
     masks += [0, 1 << pack_seed_id(cold, 0, m), (1 << pack_seed_id(cold, 0, m)) | masks[-1]]
@@ -460,6 +475,12 @@ def test_modular_objective_sums_weights():
     f = t.ModularObjective([1.0, -2.0, 4.0])
     assert f.evaluate(0b101) == 5.0
     assert f.evaluate(0b111) == 3.0
+
+
+def test_modular_sum_is_left_to_right():
+    # sum() compensates from Python 3.12 on and would give 1.0 here
+    assert t.ModularObjective([1e16, 1.0, -1e16]).evaluate(0b111) == 0.0
+    assert t.CoverageObjective([1e16, 1.0, -1e16], [0b1, 0b10, 0b100]).evaluate(0b111) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

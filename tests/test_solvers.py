@@ -410,6 +410,90 @@ def test_twin_greedy_fast_report_is_pinned(key, digest):
     assert _report_sha256(report) == digest
 
 
+def test_twin_greedy_fast_reevaluated_gain_on_a_later_bar():
+    # the bars are 486, 324, 216, 144 and 96; element 2 is first scanned at
+    # 324, where its gain against side 1 re-evaluates to 144, exactly the
+    # bar of pass 3: that pass must run and insert it at that bar
+    table = {0: 0.0, 0b001: 486.0, 0b010: 486.0, 0b100: 400.0,
+             0b011: 486.0, 0b101: 630.0, 0b110: 586.0}
+    args = (t.UniformMatroid(3, 2), t.GroundSet(3), 0.5)
+    report = t.twin_greedy_fast(t.CallableOracle(table.__getitem__), *args)
+    assert [(ent.element, ent.side, ent.gain, ent.threshold) for ent in report.log.entries] == [
+        (0, 1, 486.0, 486.0), (1, 2, 486.0, 486.0), (2, 1, 144.0, 144.0)]
+    assert report.parameters["passes"] == 5
+    _assert_matches_rescan(report,
+                           _rescan_twin_greedy_fast(t.CallableOracle(table.__getitem__), *args))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("epsilon, count", [(0.5, 30), (0.01, 15), (0.001, 5)])
+def test_twin_greedy_fast_matches_rescan_across_epsilon(epsilon, count, p):
+    for idx in range(count):
+        n = 6 + idx % 5
+        graph, ground, oracle, constraint = helpers.cut_instance_dyadic(n, seed=9800 + idx,
+                                                                        cap=3, p=p)
+        lazy = t.twin_greedy_fast(oracle(), constraint(), ground, epsilon)
+        _assert_matches_rescan(lazy, _rescan_twin_greedy_fast(oracle(), constraint(), ground,
+                                                              epsilon))
+
+
+# the masks `_odd_run` answers with an odd value, and that value: NaN on
+# one in five sets of two or more elements, on element 2 joined to a
+# non-empty set or on the singleton {3}; an infinite singleton {3}; and
+# f(empty) = -inf, which makes every singleton gain infinite
+ODD_VALUES = {
+    "ext": (lambda mask: mask.bit_count() >= 2 and mask % 5 == 1, math.nan),
+    "lone": (lambda mask: mask >> 2 & 1 and mask != 0b100, math.nan),
+    "single": (lambda mask: mask == 0b1000, math.nan),
+    "inf": (lambda mask: mask == 0b1000, math.inf),
+    "empty": (lambda mask: mask == 0, -math.inf),
+}
+
+
+def _odd_run(key):
+    """twin_greedy_fast (epsilon 0.1) on a cut instance behind a
+    CallableOracle that answers ODD_VALUES[kind]; returns the report and
+    the masks answered with the odd value."""
+    kind, idx = key.split("-")
+    n = 8 + 2 * int(idx)
+    build = helpers.cut_instance if int(idx) % 2 == 0 else helpers.psystem_instance
+    graph, ground, oracle, constraint = build(n, seed=9600 + int(idx), cap=3)
+    f, (odd_at, odd), hits = oracle(), ODD_VALUES[kind], []
+
+    def value(mask):
+        if odd_at(mask):
+            hits.append(mask)
+            return odd
+        return f.evaluate(mask)
+
+    return t.twin_greedy_fast(t.CallableOracle(value), constraint(), ground, 0.1), hits
+
+
+# sha256 of `_odd_run(key)[0].to_dict(include_timing=False)`, recorded with
+# the pass-by-pass scan over a NaN-aware bound matrix: a NaN bound is
+# re-evaluated when the element's other side clears the bar, an element
+# with no non-NaN bound is never scanned again, a NaN singleton ends the
+# run before its first pass and an infinite one leaves no pass at all
+TWINFAST_ODD_SHA256 = {
+    "ext-0": "38c90aa3c63fbe0dc8674ad10234d8b5c2bd42c65e55541d572f5b9990352235",
+    "ext-1": "6cab4fc1e39b4a905937b00d2b05166a6c03e6bfa8e2d3881cd6710d9b0a8710",
+    "ext-2": "4f2346b35c038b651bb064c847f5a1e3b7fc14f50d9aa5a5d0d0cd48e078ee7a",
+    "ext-3": "00dd998aa8fb734a8d503ffed0cfd4de136b14c01ab423e95ef2a1e82a76b943",
+    "lone-0": "fa06c2630bf9365808eb6761359e075776665462aa29aa561984bf7dd660b619",
+    "lone-1": "c46d5d3241abd547c33faea23ed85ab81e77525c1562bb3cfa49a07559141211",
+    "single-0": "a347ea9dc6c1745b6acff8db4863295ad4d9ded22f3c4ad0a5acf82e00fb7002",
+    "inf-1": "b9ead0b0393c6820356d43650adc1809a77228547535f0ba1b78d3d0d79479fd",
+    "empty-0": "61a394f44dc0f041b0fda60a78052f6394d823996f201cecaba622c3db1cf526",
+}
+
+
+@pytest.mark.parametrize("key, digest", TWINFAST_ODD_SHA256.items(), ids=list(TWINFAST_ODD_SHA256))
+def test_twin_greedy_fast_odd_values_are_pinned(key, digest):
+    report, hits = _odd_run(key)
+    assert hits
+    assert _report_sha256(report) == digest
+
+
 SOLVE_NAMES = {"twin": "twin_greedy", "twinfast": "twin_greedy_fast",
                "samplegreedy": "sample_greedy", "greedy": "classic_greedy",
                "exact": "exact"}
