@@ -252,6 +252,11 @@ class ValueOracle:
     evaluation, returning exactly what `evaluate` without it returns.
     Building a base is not a query.  The default base is None, which
     `evaluate` ignores, so an oracle without one behaves as before.
+    A based query may write into the base and restores it before it
+    returns, also when it raises, so the base is left as it was found.
+    Two queries must therefore not run on one base at once: an oracle and
+    its bases are not to be shared across threads.  (`sweep --jobs` runs
+    its cells in worker processes, each with its own copy.)
 
     The sparse-path cut (`CutMonitorObjective` from `_SPARSE_MIN_NODES`
     nodes on) and `MarketingObjective` offer bases; the list-path cut,

@@ -99,13 +99,15 @@ def _added(prev: int, mask: int, n: int) -> int:
 
 class _CutBase(NamedTuple):
     """Work behind the sparse cut value of one set: its indicator, the
-    complement indicator x = 1 - ind and y = A @ x, every row summed by
-    the same kernel as a full evaluation."""
+    complement indicator x = 1 - ind, y = A @ x, every row summed by the
+    same kernel as a full evaluation, and the membership flags
+    inside = (ind == 1)."""
 
     mask: int
     ind: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    inside: np.ndarray
 
 
 class CutMonitorObjective(ValueOracle):
@@ -120,6 +122,8 @@ class CutMonitorObjective(ValueOracle):
     S + e adjacent to e.  They are recomputed by the same kernel, each
     row's products added in the same order, and the full-length dot is
     taken as before, so the value is the full evaluation's bit for bit.
+    A based query writes e into the base's vectors and restores them
+    before it returns, so the base is left as it was found.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -142,8 +146,10 @@ class CutMonitorObjective(ValueOracle):
                 (w.repeat(2), (ids.ravel(), ids[:, ::-1].ravel())),
                 shape=(n, n),
             )
-            # row u's [start, end) in the CSR arrays, for the row kernel
+            # row u's [start, end) in the CSR arrays, for the row kernel, and
+            # as a list, whose items slice `indices` without NumPy scalars
             self._spans = np.stack([self._adj.indptr[:-1], self._adj.indptr[1:]], axis=1)
+            self._indptr = self._adj.indptr.tolist()
             self._nbytes = (self.n + 7) // 8
         else:
             graph.validate()
@@ -155,7 +161,7 @@ class CutMonitorObjective(ValueOracle):
             raise ContractViolation("set contains non-node ids")
         if self._sparse:
             full = self._full_base(mask)
-            return float(full.ind @ full.y)
+            return float(full.ind.dot(full.y))
         total = 0.0  # members ascending, each one's edges in adjacency order
         rest = mask
         while rest:
@@ -174,35 +180,42 @@ class CutMonitorObjective(ValueOracle):
             if mask >> self.n:
                 raise ContractViolation("set contains non-node ids")
             return self._full_base(mask)
-        ind, x, y = prev.ind.copy(), prev.x.copy(), prev.y.copy()
-        ind[e], x[e] = 1.0, 0.0
+        ind, x, y, inside = prev.ind.copy(), prev.x.copy(), prev.y.copy(), prev.inside.copy()
+        ind[e], x[e], inside[e] = 1.0, 0.0, True
         self._redo_rows(self._neighbours(e), x, y)  # every row that reads x[e]
-        return _CutBase(mask, ind, x, y)
+        return _CutBase(mask, ind, x, y, inside)
 
     def _value_near(self, base: _CutBase, mask: int) -> float:
         e = _added(base.mask, mask, self.n)
         if e < 0:
             return self._value(mask)
-        ind, x, y = base.ind.copy(), base.x.copy(), base.y.copy()
-        ind[e], x[e] = 1.0, 0.0
-        nbrs = self._neighbours(e)
-        # rows outside S + e meet a 0 in the dot whatever their sums are
-        self._redo_rows(nbrs[ind.take(nbrs) != 0.0], x, y)
-        return float(ind @ y)
+        ind, x, y, inside = base.ind, base.x, base.y, base.inside
+        # e is outside the base's set, so its three entries read 0.0, 1.0, False
+        ind[e], x[e], inside[e] = 1.0, 0.0, True
+        try:
+            nbrs = self._neighbours(e)
+            # rows outside S + e meet a 0 in the dot whatever their sums are
+            rows = nbrs[inside.take(nbrs)]
+            if len(rows):
+                y = y.copy()
+                self._redo_rows(rows, x, y)
+            return float(ind.dot(y))  # the ddot `_value` takes
+        finally:
+            ind[e], x[e], inside[e] = 0.0, 1.0, False
 
     def _full_base(self, mask: int) -> _CutBase:
         raw = np.frombuffer(mask.to_bytes(self._nbytes, "little"), dtype=np.uint8)
-        ind = np.unpackbits(raw, count=self.n, bitorder="little").astype(np.float64)
+        bits = np.unpackbits(raw, count=self.n, bitorder="little")
+        ind = bits.astype(np.float64)
         x = 1.0 - ind
         y = np.zeros(self.n)
         adj = self._adj
         csr_matvec(self.n, self.n, adj.indptr, adj.indices, adj.data, x, y)  # as adj.dot(x)
-        return _CutBase(mask, ind, x, y)
+        return _CutBase(mask, ind, x, y, bits.view(bool))
 
     def _neighbours(self, e: int) -> np.ndarray:
         """Column ids of row e, ascending: the rows whose sums read x[e]."""
-        start, end = self._spans[e]
-        return self._adj.indices[start:end]
+        return self._adj.indices[self._indptr[e]:self._indptr[e + 1]]
 
     def _redo_rows(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Set y[u] = (A @ x)[u] for the ascending rows u, each summed as

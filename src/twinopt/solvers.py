@@ -24,7 +24,8 @@ and pass it positionally to every `evaluate` of a one-element extension
 of that side, refreshing it after each insertion.  A base holds work,
 not values: each such query still counts once and returns what a plain
 `evaluate` returns, so logs, values and query counts do not depend on
-whether an oracle offers bases.
+whether an oracle offers bases.  A query leaves the base as it found
+it, so the two sides may start from one shared base of the empty set.
 """
 
 from __future__ import annotations
@@ -67,6 +68,15 @@ def _start(f: ValueOracle, constraint: IndependenceOracle) -> tuple[float, int, 
     return time.perf_counter(), f.query_count, constraint.check_count
 
 
+def _empty_value(f: ValueOracle) -> float:
+    """f(empty), one query.  Every solver starts from it, and a NaN there
+    would leave no gain or side value to compare, so it is rejected."""
+    value = f.evaluate(0)
+    if math.isnan(value):
+        raise ContractViolation("f(empty) is NaN")
+    return value
+
+
 def _report(algorithm, ground, parameters, s, fval, log, f, constraint, start) -> RunReport:
     t0, queries0, checks0 = start
     star = 0 if fval[0] >= fval[1] else 1
@@ -103,11 +113,11 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
     """
     start = _start(f, constraint)
     n = ground.n
-    f_empty = f.evaluate(0)
+    f_empty = _empty_value(f)
     s = [0, 0]
     fval = [f_empty, f_empty]
     states = [constraint.empty_state(), constraint.empty_state()]
-    bases = [f.base(0)] * 2  # bases are never mutated, so both sides may share one
+    bases = [f.base(0)] * 2  # a query leaves a base as it found it, so both sides may share one
     versions = [0, 0]
     log = InsertionLog()
 
@@ -171,13 +181,13 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
     start = _start(f, constraint)
     n = ground.n
-    f_empty = f.evaluate(0)
+    f_empty = _empty_value(f)
     log = InsertionLog()
     s = [0, 0]
     fval = [f_empty, f_empty]
     params: dict = {"epsilon": epsilon, "tie_break": TIE_BREAK}
 
-    bases = [f.base(0)] * 2  # bases are never mutated, so both sides may share one
+    bases = [f.base(0)] * 2  # a query leaves a base as it found it, so both sides may share one
     states = [constraint.empty_state(), constraint.empty_state()]
     singleton = [-math.inf] * n
     for e in range(n):
@@ -241,7 +251,7 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
 def _single_greedy(algorithm, f, constraint, ground, candidates, parameters,
                    start) -> RunReport:
     """Textbook single-set greedy: full rescans, positive-gain stopping."""
-    f_empty = f.evaluate(0)
+    f_empty = _empty_value(f)
     sol = 0
     fcur = f_empty
     state = constraint.empty_state()
@@ -315,7 +325,7 @@ def exact_max(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet)
     n = ground.n
     if n > 20:
         raise ContractViolation("exhaustive search needs n <= 20")
-    best = [0, f.evaluate(0), 1]
+    best = [0, _empty_value(f), 1]
 
     def walk(mask, state, start):
         for e in range(start, n):
@@ -356,7 +366,7 @@ def solve(name: str, f: ValueOracle, constraint: IndependenceOracle, ground: Gro
         return classic_greedy(f, constraint, ground)
     if name == "exact":
         start = _start(f, constraint)
-        f_empty = f.evaluate(0)
+        f_empty = _empty_value(f)
         res = exact_max(f, constraint, ground)
         return _report("exact", ground, {}, [res.solution, 0], [res.value, f_empty],
                        InsertionLog(), f, constraint, start)

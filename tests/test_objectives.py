@@ -155,11 +155,15 @@ def sparse_cut_cases(draw):
 
 
 def _base_arrays(base):
-    return base.mask, base.ind.copy(), base.x.copy(), base.y.copy()
+    """A copy of every field of a cut base."""
+    return tuple(v.copy() if isinstance(v, np.ndarray) else v for v in base)
 
 
 def _same_base(a, b):
-    return a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+    """The same fields, arrays of the same dtype and bits."""
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes() if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b))
 
 
 @given(sparse_cut_cases())
@@ -187,6 +191,61 @@ def test_grown_cut_base_equals_a_fresh_one(case, k):
         s |= 1 << u
         base = f.base(s, base)
     assert _same_base(_base_arrays(base), _base_arrays(f.base(s)))
+
+
+@given(sparse_cut_cases(), st.lists(st.tuples(st.integers(0, 2**16), st.booleans()), max_size=8))
+def test_a_cut_base_shared_by_two_sides_is_left_unchanged(case, steps):
+    """As the twin solvers start: two sides share one base and query it in
+    turn, first both with e, a side that inserts grows its own base from
+    its old one, and a rejected query (an id past n) follows every query.
+    Every answer is the full evaluation's, exactly, and the shared base
+    keeps its bits throughout."""
+    f, s, e = case
+    shared = f.base(s)
+    before = _base_arrays(shared)
+    sides, bases = [s, s], [shared, shared]
+    for k, (pick, insert) in enumerate([(0, False), (0, False)] + steps):
+        free = [u for u in range(f.n) if not ((sides[0] | sides[1]) >> u) & 1]
+        if not free:
+            break
+        i, u = k % 2, e if k < 2 else free[pick % len(free)]
+        grown = sides[i] | 1 << u
+        assert f.evaluate(grown, bases[i]) == f.evaluate(grown)
+        with pytest.raises(t.ContractViolation):
+            f.evaluate(sides[i] | 1 << f.n, bases[i])
+        if insert:
+            sides[i], bases[i] = grown, f.base(grown, bases[i])
+        assert _same_base(_base_arrays(shared), before)
+    for side, base in zip(sides, bases):
+        assert _same_base(_base_arrays(base), _base_arrays(f.base(side)))
+
+
+def test_a_failed_based_cut_query_leaves_the_base_unchanged():
+    n = objmod._SPARSE_MIN_NODES
+    f = t.CutMonitorObjective(t.WeightedGraph(n, [(0, 1, 0.5), (1, 2, 0.25), (1, 1, 2.0)]))
+    base = f.base(0b1)
+    before = _base_arrays(base)
+    with mock.patch.object(f, "_redo_rows", side_effect=MemoryError):
+        with pytest.raises(MemoryError):
+            f.evaluate(0b11, base)
+    assert _same_base(_base_arrays(base), before)
+    assert f.evaluate(0b11, base) == f.evaluate(0b11) == 0.25
+
+
+def test_csr_matvec_adds_into_out_and_skips_a_descending_span():
+    """The kernel contract the sparse cut relies on, checked on SciPy's
+    private `csr_matvec` itself: it adds A @ x into `out`, and a row whose
+    index-pointer start lies past its end adds nothing."""
+    adj = sp.csr_matrix(np.array([[0.0, 0.5, 0.25], [2.0, 0.0, 1.0], [0.0, 4.0, 0.0]]))
+    x = np.array([1.0, 2.0, 4.0])
+    out = np.array([8.0, 16.0, 32.0])
+    objmod.csr_matvec(3, 3, adj.indptr, adj.indices, adj.data, x, out)
+    assert out.tolist() == [8.0 + 2.0, 16.0 + 6.0, 32.0 + 8.0]
+    ip = adj.indptr  # rows 2 and 0, descending; the row between spans [ip[3], ip[0]]
+    ptr = np.array([ip[2], ip[3], ip[0], ip[1]], dtype=ip.dtype)
+    out = np.full(3, 0.125)
+    objmod.csr_matvec(3, 3, ptr, adj.indices, adj.data, x, out)
+    assert out.tolist() == [0.125 + 8.0, 0.125, 0.125 + 2.0]
 
 
 def _off_extensions(f, s, e):

@@ -499,6 +499,22 @@ SOLVE_NAMES = {"twin": "twin_greedy", "twinfast": "twin_greedy_fast",
                "exact": "exact"}
 
 
+def _nan_empty(mask):
+    return math.nan if mask == 0 else float(mask.bit_count())
+
+
+@pytest.mark.parametrize("name", SOLVE_NAMES)
+def test_every_solver_rejects_a_nan_empty_value(name):
+    params = t.SolverParams(epsilon=0.1, q=0.5, seed=1)
+    with pytest.raises(t.ContractViolation, match=r"f\(empty\) is NaN"):
+        t.solve(name, t.CallableOracle(_nan_empty), t.UniformMatroid(4, 2), t.GroundSet(4), params)
+
+
+def test_exact_max_rejects_a_nan_empty_value():
+    with pytest.raises(t.ContractViolation, match=r"f\(empty\) is NaN"):
+        t.exact_max(t.CallableOracle(_nan_empty), t.UniformMatroid(4, 2), t.GroundSet(4))
+
+
 def test_solve_dispatcher():
     graph, ground, oracle, constraint = helpers.cut_instance(7, seed=8200)
     params = t.SolverParams(epsilon=0.1, q=0.5, seed=1)
