@@ -20,6 +20,11 @@ from .core import (CallableOracle, ContractViolation, GroundSet, InsertionLog, R
                    ValueOracle, bitmask, left_sum, members)
 
 
+# Absolute slack each checked inequality allows for float rounding: sums of
+# logged gains and fresh evaluations of one quantity may differ by ulps.
+TOL = 1e-9
+
+
 class CertificationError(RuntimeError):
     """The charging-map construction could not be completed."""
 
@@ -189,7 +194,7 @@ def check_pi_properties(report: RunReport, classes: ClassifiedOptimal, pi: PiMap
 
 
 def check_gain_bounds(f: ValueOracle, report: RunReport, classes: ClassifiedOptimal,
-                      pi: PiMapping, tol: float = 1e-9) -> list[InequalityRecord]:
+                      pi: PiMapping) -> list[InequalityRecord]:
     """The six class-wise gain inequalities.
 
     Each bounds the marginal value of one optimal class against a side by
@@ -215,12 +220,12 @@ def check_gain_bounds(f: ValueOracle, report: RunReport, classes: ClassifiedOpti
             continue
         lhs = f.evaluate(base | cls_mask) - f.evaluate(base)
         rhs = factor * left_sum(gains[mapping[e]] for e in members(cls_mask))
-        records.append(InequalityRecord(name, lhs, rhs, lhs <= rhs + tol))
+        records.append(InequalityRecord(name, lhs, rhs, lhs <= rhs + TOL))
     return records
 
 
-def check_residuals(f: ValueOracle, report: RunReport, classes: ClassifiedOptimal,
-                    tol: float = 1e-9) -> list[InequalityRecord]:
+def check_residuals(f: ValueOracle, report: RunReport,
+                    classes: ClassifiedOptimal) -> list[InequalityRecord]:
     """Leftover optimal elements must have been rejected for cause.
 
     Exact variant: their gain on the side they fit is non-positive.
@@ -236,11 +241,11 @@ def check_residuals(f: ValueOracle, report: RunReport, classes: ClassifiedOptima
             continue
         fbase = f.evaluate(base)
         worst = max(f.evaluate(base | (1 << e)) - fbase for e in members(cls_mask))
-        records.append(InequalityRecord(name, worst, bound, worst <= bound + tol))
+        records.append(InequalityRecord(name, worst, bound, worst <= bound + TOL))
     return records
 
 
-def check_log_gains(f: ValueOracle, log: InsertionLog, tol: float = 1e-9):
+def check_log_gains(f: ValueOracle, log: InsertionLog):
     """Replay every insertion and compare the recorded gain."""
     pre = log.pre_masks()
     worst = 0.0
@@ -248,34 +253,34 @@ def check_log_gains(f: ValueOracle, log: InsertionLog, tol: float = 1e-9):
         base = pre[ent.element][ent.side - 1]
         recomputed = f.evaluate(base | (1 << ent.element)) - f.evaluate(base)
         worst = max(worst, abs(recomputed - ent.gain))
-    return InequalityRecord("log_gain_replay", worst, 0.0, worst <= tol)
+    return InequalityRecord("log_gain_replay", worst, 0.0, worst <= TOL)
 
 
-def check_global_bound(report: RunReport, optimal_value: float, p: int = 1, tol: float = 1e-9):
+def check_global_bound(report: RunReport, optimal_value: float, p: int = 1):
     """The end-to-end value inequality and the approximation ratio it implies."""
     variant, epsilon, _ = _variant(report)
     fs = report.f_s1 + report.f_s2
     if variant == "exact":
         combined = InequalityRecord("optimal_le_2f1_plus_2f2", optimal_value, 2.0 * fs,
-                                    optimal_value <= 2.0 * fs + tol)
+                                    optimal_value <= 2.0 * fs + TOL)
         ratio_bound = 0.25
     else:
         rhs = (1.0 + (1.0 + epsilon) * p) * fs + 2.0 * epsilon * optimal_value
         combined = InequalityRecord("optimal_le_threshold_combination", optimal_value, rhs,
-                                    optimal_value <= rhs + tol)
+                                    optimal_value <= rhs + TOL)
         ratio_bound = (1.0 - 2.0 * epsilon) / (2.0 * p + 2.0 + 2.0 * p * epsilon)
     ratio = InequalityRecord("implied_ratio", ratio_bound * optimal_value, report.f_star,
-                             report.f_star >= ratio_bound * optimal_value - tol)
+                             report.f_star >= ratio_bound * optimal_value - TOL)
     degenerate = None
     if report.s2 == 0 or report.s1 == 0:
         lone = report.f_s1 if report.s2 == 0 else report.f_s2
         if variant == "exact":
             degenerate = InequalityRecord("lone_side_is_optimal", optimal_value, lone,
-                                          abs(lone - optimal_value) <= tol)
+                                          abs(lone - optimal_value) <= TOL)
         else:
             want = (1.0 - epsilon) * optimal_value
             degenerate = InequalityRecord("lone_side_within_1_minus_eps", want, lone,
-                                          lone >= want - tol)
+                                          lone >= want - TOL)
     return combined, ratio, degenerate
 
 
@@ -331,7 +336,7 @@ class CertificationReport:
 
 
 def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
-                optimal_value: float, p: int = 1, tol: float = 1e-9) -> CertificationReport:
+                optimal_value: float, p: int = 1) -> CertificationReport:
     """Run the whole certification pipeline for one finished run.
 
     The checks trust the report's sides, so a log that is malformed or
@@ -354,8 +359,7 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
     cached = CallableOracle(functools.cache(f.evaluate))
     classes = classify(report, optimal, constraint)
     pi = build_pi(report, classes, constraint, p=p)
-    global_check, ratio_check, degenerate = check_global_bound(report, optimal_value,
-                                                               p=p, tol=tol)
+    global_check, ratio_check, degenerate = check_global_bound(report, optimal_value, p=p)
     return CertificationReport(
         algorithm=report.algorithm,
         variant=variant,
@@ -366,9 +370,9 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
         classes=classes,
         pi=pi,
         structural=check_pi_properties(report, classes, pi, constraint, p=p),
-        inequalities=check_gain_bounds(cached, report, classes, pi, tol=tol),
-        residuals=check_residuals(cached, report, classes, tol=tol),
-        log_gain_check=check_log_gains(cached, report.log, tol=tol),
+        inequalities=check_gain_bounds(cached, report, classes, pi),
+        residuals=check_residuals(cached, report, classes),
+        log_gain_check=check_log_gains(cached, report.log),
         global_check=global_check,
         ratio_check=ratio_check,
         degenerate_check=degenerate,

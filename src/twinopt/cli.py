@@ -273,6 +273,8 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--reps", args.reps), ("--jobs", args.jobs)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
+    if args.axis == "k" and "{k}" not in args.constraint:
+        raise UsageError(f"--constraint must hold {{k}} for --axis k, got {args.constraint!r}")
     axis_values = _parse_list("--values", args.values, float if args.axis == "epsilon" else int)
     algos = args.algos.split(",")
     f, hashes = build_objective(args)

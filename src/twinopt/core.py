@@ -236,22 +236,39 @@ def write_rows(path, rows, header: dict[str, int] | None = None) -> None:
 # oracle contracts
 
 
+def _added(prev: int, mask: int, n: int) -> int:
+    """The id e < n with mask == prev + {e}, else -1."""
+    added = mask ^ prev
+    if added.bit_count() != 1 or not mask & added or added >> n:
+        return -1
+    return added.bit_length() - 1
+
+
 class ValueOracle:
     """Set-function evaluator with a per-instance query counter.
 
-    Subclasses implement `_value(mask)`.  `evaluate` is the only counted
-    entry point: one call is one query, so a marginal gain against a
-    caller-cached base value costs exactly one query.  Oracles hold no
-    value caches of their own; solvers own theirs, which keeps the query
-    count attributable to the algorithm under test.
+    This is the one statement of the query contract every objective
+    follows.  A subclass sets `n`, the ground size, and implements
+    `_value(mask)`, the value of a set of ids below n.  `evaluate` is the
+    only counted entry point: one call is one query, so a marginal gain
+    against a caller-cached base value costs exactly one query.  Oracles
+    hold no value caches of their own; solvers own theirs, which keeps the
+    query count attributable to the algorithm under test.  A set holding
+    an id at or past n is rejected with ContractViolation.
 
     A solver that grows a set S one element at a time may ask for a
     `base(S)` and pass it to `evaluate(S | 1 << e, base)`.  A base holds
-    work, not values: intermediate arrays from which an oracle can
-    evaluate a one-element extension of S for less than a full
-    evaluation, returning exactly what `evaluate` without it returns.
-    Building a base is not a query.  The default base is None, which
-    `evaluate` ignores, so an oracle without one behaves as before.
+    work, not values: intermediate arrays from which an oracle evaluates a
+    one-element extension of S for less than a full evaluation, returning
+    exactly what `evaluate` without it returns.  Building a base is not a
+    query.  When the queried set is the base's set plus one id e below n,
+    `evaluate` answers `_value_plus(base, e)`; any other set, or no base,
+    is a full `_value`, so a based query is never wrong, only slower.
+    `base(S, prev)` grows `prev` by `_grow(prev, e)` when prev is the base
+    of S minus one id e, and otherwise builds `_new_base(S)`, which is None
+    by default: an oracle without bases answers every query in full.  A
+    base records its set as `base.mask`.
+
     A based query may write into the base and restores it before it
     returns, also when it raises, so the base is left as it was found.
     Two queries must therefore not run on one base at once: an oracle and
@@ -268,41 +285,69 @@ class ValueOracle:
 
     def evaluate(self, mask: int, base=None) -> float:
         self.query_count += 1
-        if base is None:
-            return self._value(mask)
-        return self._value_near(base, mask)
+        if base is not None:
+            e = _added(base.mask, mask, self.n)
+            if e >= 0:
+                return self._value_plus(base, e)
+        if mask >> self.n:
+            raise ContractViolation(f"set holds ids at or past the ground size {self.n}")
+        return self._value(mask)
 
     def base(self, mask: int, prev=None):
         """An opaque base for the set `mask`, or None.  `prev` may be the
         base of `mask` minus one element, to build this one from."""
-        return None
+        if mask >> self.n:
+            raise ContractViolation(f"set holds ids at or past the ground size {self.n}")
+        if prev is not None:
+            e = _added(prev.mask, mask, self.n)
+            if e >= 0:
+                return self._grow(prev, e)
+        return self._new_base(mask)
 
     def _value(self, mask: int) -> float:
         raise NotImplementedError
 
-    def _value_near(self, base, mask: int) -> float:
-        """f(mask) given `base`; falls back to a full evaluation."""
-        return self._value(mask)
+    def _new_base(self, mask: int):
+        return None
+
+    def _grow(self, prev, e: int):
+        """The base of prev's set plus e; by default built afresh."""
+        return self._new_base(prev.mask | 1 << e)
+
+    def _value_plus(self, base, e: int) -> float:
+        """f(base.mask + e) for an id e < n outside base.mask."""
+        raise NotImplementedError
 
 
 class CallableOracle(ValueOracle):
-    """Adapter turning a plain ``mask -> float`` function into an oracle."""
+    """Adapter turning a plain ``mask -> float`` function into an oracle.
+
+    It states no ground size (`n` is None): it accepts any id, offers no
+    base and is exempt from the solvers' ground-size check."""
+
+    n = None
 
     def __init__(self, fn):
         super().__init__()
         self._fn = fn
 
-    def _value(self, mask: int) -> float:
+    def evaluate(self, mask: int, base=None) -> float:
+        self.query_count += 1
         return float(self._fn(mask))
+
+    def base(self, mask: int, prev=None):
+        return None
 
 
 class IndependenceOracle:
     """Membership test for a hereditary independence family over 0..n-1.
 
-    Besides the set-wise `is_independent`, constraints expose an
-    incremental interface (`empty_state`, `can_add`, `add`) so solver
-    inner loops can test single-element feasibility in O(1) amortized
-    time instead of re-deriving structure from the full set.
+    Besides the set-wise `_independent`, a constraint implements the
+    incremental interface `empty_state()`, `_can_add(state, e)` and
+    `add(state, e)`, so solver inner loops test single-element
+    feasibility in O(1) amortized time instead of re-deriving structure
+    from the full set.  `is_independent` and `can_add` are the counted
+    entry points, and reject ids outside the ground set.
     """
 
     def __init__(self, n: int):
@@ -318,22 +363,11 @@ class IndependenceOracle:
     def _independent(self, mask: int) -> bool:
         raise NotImplementedError
 
-    # incremental interface; the default falls back to set-wise testing
-    def empty_state(self):
-        return 0
-
     def can_add(self, state, e: int) -> bool:
         if not 0 <= e < self.n:
             raise ContractViolation(f"element {e} outside ground set of size {self.n}")
         self.check_count += 1
         return self._can_add(state, e)
-
-    def _can_add(self, state, e: int) -> bool:
-        return self._independent(state | (1 << e))
-
-    def add(self, state, e: int):
-        """Return the successor state after inserting e (e must be addable)."""
-        return state | (1 << e)
 
 
 # ---------------------------------------------------------------------------

@@ -89,14 +89,6 @@ def load_edge_list(path, directed: bool | None = None) -> WeightedGraph:
     return WeightedGraph(n_nodes, edges, bool(header.get("directed")) if directed is None else directed)
 
 
-def _added(prev: int, mask: int, n: int) -> int:
-    """The id e < n with mask == prev + {e}, else -1."""
-    added = mask ^ prev
-    if added.bit_count() != 1 or not mask & added or added >> n:
-        return -1
-    return added.bit_length() - 1
-
-
 class _CutBase(NamedTuple):
     """Work behind the sparse cut value of one set: its indicator, the
     complement indicator x = 1 - ind, y = A @ x, every row summed by the
@@ -157,10 +149,8 @@ class CutMonitorObjective(ValueOracle):
             self._nbrs = [[(1 << v, w) for v, w in nbrs] for nbrs in graph.in_adjacency()]
 
     def _value(self, mask: int) -> float:
-        if mask >> self.n:
-            raise ContractViolation("set contains non-node ids")
         if self._sparse:
-            full = self._full_base(mask)
+            full = self._new_base(mask)
             return float(full.ind.dot(full.y))
         total = 0.0  # members ascending, each one's edges in adjacency order
         rest = mask
@@ -172,23 +162,25 @@ class CutMonitorObjective(ValueOracle):
             rest ^= low
         return total
 
-    def base(self, mask: int, prev: _CutBase | None = None) -> _CutBase | None:
+    def _new_base(self, mask: int) -> _CutBase | None:
         if not self._sparse:
             return None
-        e = -1 if prev is None else _added(prev.mask, mask, self.n)
-        if e < 0:
-            if mask >> self.n:
-                raise ContractViolation("set contains non-node ids")
-            return self._full_base(mask)
+        raw = np.frombuffer(mask.to_bytes(self._nbytes, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=self.n, bitorder="little")
+        ind = bits.astype(np.float64)
+        x = 1.0 - ind
+        y = np.zeros(self.n)
+        adj = self._adj
+        csr_matvec(self.n, self.n, adj.indptr, adj.indices, adj.data, x, y)  # as adj.dot(x)
+        return _CutBase(mask, ind, x, y, bits.view(bool))
+
+    def _grow(self, prev: _CutBase, e: int) -> _CutBase:
         ind, x, y, inside = prev.ind.copy(), prev.x.copy(), prev.y.copy(), prev.inside.copy()
         ind[e], x[e], inside[e] = 1.0, 0.0, True
         self._redo_rows(self._neighbours(e), x, y)  # every row that reads x[e]
-        return _CutBase(mask, ind, x, y, inside)
+        return _CutBase(prev.mask | 1 << e, ind, x, y, inside)
 
-    def _value_near(self, base: _CutBase, mask: int) -> float:
-        e = _added(base.mask, mask, self.n)
-        if e < 0:
-            return self._value(mask)
+    def _value_plus(self, base: _CutBase, e: int) -> float:
         ind, x, y, inside = base.ind, base.x, base.y, base.inside
         # e is outside the base's set, so its three entries read 0.0, 1.0, False
         ind[e], x[e], inside[e] = 1.0, 0.0, True
@@ -203,23 +195,13 @@ class CutMonitorObjective(ValueOracle):
         finally:
             ind[e], x[e], inside[e] = 0.0, 1.0, False
 
-    def _full_base(self, mask: int) -> _CutBase:
-        raw = np.frombuffer(mask.to_bytes(self._nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=self.n, bitorder="little")
-        ind = bits.astype(np.float64)
-        x = 1.0 - ind
-        y = np.zeros(self.n)
-        adj = self._adj
-        csr_matvec(self.n, self.n, adj.indptr, adj.indices, adj.data, x, y)  # as adj.dot(x)
-        return _CutBase(mask, ind, x, y, bits.view(bool))
-
     def _neighbours(self, e: int) -> np.ndarray:
         """Column ids of row e, ascending: the rows whose sums read x[e]."""
         return self._adj.indices[self._indptr[e]:self._indptr[e + 1]]
 
     def _redo_rows(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Set y[u] = (A @ x)[u] for the ascending rows u, each summed as
-        `_full_base` sums it.  The kernel runs over an index pointer holding
+        `_new_base` sums it.  The kernel runs over an index pointer holding
         [indptr[u], indptr[u + 1]] for u in descending order, so the rows
         between two of them start past their end and add nothing.  (Out of
         order, those rows would run over real entries: slower, and their
@@ -349,14 +331,12 @@ class MarketingObjective(ValueOracle):
         self._sampled = [len(c.sets) for c in collections]
 
     def _value(self, mask: int) -> float:
-        full = self.base(mask)
+        full = self._new_base(mask)
         return self._total(full.terms, full.pre[-1]) if mask else 0.0
 
-    def base(self, mask: int, prev: _MarketingBase | None = None) -> _MarketingBase:
+    def _new_base(self, mask: int) -> _MarketingBase:
         """The base of `mask`, built afresh: one pass over the members, about
-        what growing `prev` by one element would cost."""
-        if mask >> self.n:
-            raise ContractViolation("set contains ids outside node x product range")
+        what growing a base by one element would cost, so growth is this."""
         hit = [0] * self.m  # per product, the RR sets its seeds cover
         ids = members(mask)
         pre = [0.0]
@@ -367,10 +347,7 @@ class MarketingObjective(ValueOracle):
         terms = [self._term(i, h) for i, h in enumerate(hit)]
         return _MarketingBase(mask, hit, terms, ids, pre)
 
-    def _value_near(self, base: _MarketingBase, mask: int) -> float:
-        e = _added(base.mask, mask, self.n)
-        if e < 0:
-            return self._value(mask)
+    def _value_plus(self, base: _MarketingBase, e: int) -> float:
         u, i = divmod(e, self.m)  # unpack_seed_id, without the call on the query path
         terms = base.terms.copy()
         terms[i] = self._term(i, base.hit[i] | self._covers[i][u])
@@ -420,8 +397,6 @@ class ModularObjective(ValueOracle):
         self.n = len(self.weights)
 
     def _value(self, mask: int) -> float:
-        if mask >> self.n:
-            raise ContractViolation("set contains out-of-range ids")
         return left_sum(self.weights[e] for e in members(mask))
 
 
@@ -438,8 +413,6 @@ class CoverageObjective(ValueOracle):
         self.n = len(self.covers)
 
     def _value(self, mask: int) -> float:
-        if mask >> self.n:
-            raise ContractViolation("set contains out-of-range ids")
         covered = 0
         for e in members(mask):
             covered |= self.covers[e]

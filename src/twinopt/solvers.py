@@ -21,11 +21,14 @@ textbook scan-everything greedy.
 
 The greedy solvers keep one oracle base per side (`ValueOracle.base`)
 and pass it positionally to every `evaluate` of a one-element extension
-of that side, refreshing it after each insertion.  A base holds work,
-not values: each such query still counts once and returns what a plain
-`evaluate` returns, so logs, values and query counts do not depend on
-whether an oracle offers bases.  A query leaves the base as it found
-it, so the two sides may start from one shared base of the empty set.
+of that side, refreshing it after each insertion.  By the `ValueOracle`
+contract such a query counts once, returns what a plain `evaluate`
+returns and leaves its base as it found it, so logs, values and query
+counts do not depend on whether an oracle offers bases, and the two
+sides may start from one shared base of the empty set.
+
+Every solver and `exact_max` first check that the ground set, the
+constraint and the oracle state one size.
 """
 
 from __future__ import annotations
@@ -68,9 +71,14 @@ def _start(f: ValueOracle, constraint: IndependenceOracle) -> tuple[float, int, 
     return time.perf_counter(), f.query_count, constraint.check_count
 
 
-def _empty_value(f: ValueOracle) -> float:
-    """f(empty), one query.  Every solver starts from it, and a NaN there
-    would leave no gain or side value to compare, so it is rejected."""
+def _empty_value(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet) -> float:
+    """f(empty), one query, once the ground set, the constraint and the
+    oracle are seen to state one size (`CallableOracle` states none).
+    Every solver starts from it, and a NaN there would leave no gain or
+    side value to compare, so it is rejected."""
+    if not ground.n == constraint.n == (ground.n if f.n is None else f.n):
+        raise ContractViolation(f"ground set, constraint and oracle sizes differ: "
+                                f"{ground.n}, {constraint.n} and {f.n}")
     value = f.evaluate(0)
     if math.isnan(value):
         raise ContractViolation("f(empty) is NaN")
@@ -113,7 +121,7 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
     """
     start = _start(f, constraint)
     n = ground.n
-    f_empty = _empty_value(f)
+    f_empty = _empty_value(f, constraint, ground)
     s = [0, 0]
     fval = [f_empty, f_empty]
     states = [constraint.empty_state(), constraint.empty_state()]
@@ -181,7 +189,7 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
     start = _start(f, constraint)
     n = ground.n
-    f_empty = _empty_value(f)
+    f_empty = _empty_value(f, constraint, ground)
     log = InsertionLog()
     s = [0, 0]
     fval = [f_empty, f_empty]
@@ -251,7 +259,7 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
 def _single_greedy(algorithm, f, constraint, ground, candidates, parameters,
                    start) -> RunReport:
     """Textbook single-set greedy: full rescans, positive-gain stopping."""
-    f_empty = _empty_value(f)
+    f_empty = _empty_value(f, constraint, ground)
     sol = 0
     fcur = f_empty
     state = constraint.empty_state()
@@ -325,7 +333,7 @@ def exact_max(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet)
     n = ground.n
     if n > 20:
         raise ContractViolation("exhaustive search needs n <= 20")
-    best = [0, _empty_value(f), 1]
+    best = [0, _empty_value(f, constraint, ground), 1]
 
     def walk(mask, state, start):
         for e in range(start, n):
@@ -366,7 +374,7 @@ def solve(name: str, f: ValueOracle, constraint: IndependenceOracle, ground: Gro
         return classic_greedy(f, constraint, ground)
     if name == "exact":
         start = _start(f, constraint)
-        f_empty = _empty_value(f)
+        f_empty = _empty_value(f, constraint, ground)
         res = exact_max(f, constraint, ground)
         return _report("exact", ground, {}, [res.solution, 0], [res.value, f_empty],
                        InsertionLog(), f, constraint, start)

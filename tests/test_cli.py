@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -35,6 +37,29 @@ def test_gen_graph_er_zero_probability(tmp_path, capsys):
     assert graph.n_nodes == 10 and len(graph.edges) == 0
     manifest = json.loads(capsys.readouterr().out)
     assert manifest["seed"] == 1 and str(out) in manifest["files"]
+
+
+def test_python_dash_m_twinopt_runs_end_to_end(tmp_path):
+    """The documented entry point in a fresh interpreter: `python -m
+    twinopt gen-graph`, then `run` on the file it wrote."""
+    src = os.path.dirname(os.path.dirname(t.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def twinopt(*argv):
+        done = subprocess.run([sys.executable, "-m", "twinopt", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    manifest = twinopt("gen-graph", "--model", "er", "--n", "20", "--p", "0.3", "--seed", "1",
+                       "--out", "g.txt")
+    report = twinopt("run", "--algo", "twin", "--objective", "cut", "--graph", "g.txt",
+                     "--constraint", "uniform:k=4", "--no-timing")
+    assert report["input_hashes"]["g.txt"] == manifest["files"]["g.txt"]["sha256"]
+    assert report["algorithm"] == "twin_greedy" and report["n"] == 20
+    assert report["wall_time_s"] == 0.0 and 0 < report["solution_size"] <= 4
+    f = t.CutMonitorObjective(load_edge_list(tmp_path / "g.txt"))
+    assert report["f_star"] == f.evaluate(t.bitmask(report["s_star"])) > 0
 
 
 # sha256 of the graph and parts files of `gen-graph --model er --n 30
@@ -571,6 +596,10 @@ BAD_INPUTS = {
                             + ["--values", "2", "--jobs", "-3"], "--jobs must be >= 1"),
     "sweep-jobs-zero": ({"g.txt": GRAPH_60}, _swap(SWEEP, "--out", "@o.txt")
                         + ["--values", "2", "--jobs", "0"], "--jobs must be >= 1"),
+    "sweep-k-without-placeholder": ({"g.txt": GRAPH_60},
+                                    _swap(_swap(SWEEP, "--constraint", "uniform:k=2"),
+                                          "--out", "@o.txt") + ["--values", "1,2,3"],
+                                    "--constraint must hold {k}"),
     "gen-rrsets-no-nodes": ({"g.txt": "# nodes 0 directed 1\n"}, RRSETS, "at least one node"),
     "gen-rrsets-empty-graph-file": ({"g.txt": ""}, RRSETS, "at least one node"),
     "gen-graph-ba-one-node-clique": (

@@ -128,18 +128,21 @@ def test_sparse_cut_rejects_the_first_bad_edge_as_validate_does(case, data):
 
 
 @st.composite
-def sparse_cut_cases(draw):
-    """A sparse-path cut oracle with a self-loop, a duplicated edge, zero
-    weights and an isolated node (the last one), a node e and a set S
-    without e: empty, everything else, no neighbour of e, or random."""
-    n = draw(st.integers(objmod._SPARSE_MIN_NODES, objmod._SPARSE_MIN_NODES + 40))
+def cut_cases(draw, sparse=True):
+    """A sparse-path cut oracle (list-path if not `sparse`) with a
+    self-loop, a duplicated edge, zero weights and an isolated node (the
+    last one), a node e and a set S without e: empty, everything else, no
+    neighbour of e, or random."""
+    low = objmod._SPARSE_MIN_NODES if sparse else 3
+    n = draw(st.integers(low, low + 40))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     edges = [(u, v, rng.choice([0.0, rng.random()]))
              for u in range(n - 1) for v in range(u + 1, n - 1) if rng.random() < 0.04]
     loop = rng.randrange(n - 1)
-    u, v, _ = edges[0]
+    u, v, _ = edges[0] if edges else (0, 1, 0.0)
     edges += [(loop, loop, rng.random()), (u, v, rng.random())]
     f = t.CutMonitorObjective(t.WeightedGraph(n, edges))
+    assert f._sparse == sparse
     e = draw(st.sampled_from([loop, u, n - 1, rng.randrange(n)]))
     kind = draw(st.sampled_from(["empty", "all-but-e", "no-neighbour", "random"]))
     others = ((1 << n) - 1) & ~(1 << e)
@@ -150,7 +153,7 @@ def sparse_cut_cases(draw):
     else:
         s = rng.getrandbits(n) & others
         if kind == "no-neighbour":
-            s &= ~t.bitmask(int(v) for v in f._neighbours(e))
+            s &= ~t.bitmask(v for v, _ in f.graph.in_adjacency()[e])
     return f, s, e
 
 
@@ -166,7 +169,7 @@ def _same_base(a, b):
         for x, y in zip(a, b))
 
 
-@given(sparse_cut_cases())
+@given(cut_cases())
 def test_based_cut_query_is_bit_identical_to_full_evaluation(case):
     f, s, e = case
     base = f.base(s)
@@ -180,7 +183,7 @@ def test_based_cut_query_is_bit_identical_to_full_evaluation(case):
     assert full == pytest.approx(helpers.naive_cut(f.graph, s | 1 << e), abs=1e-9)
 
 
-@given(sparse_cut_cases(), st.integers(1, 8))
+@given(cut_cases(), st.integers(1, 8))
 def test_grown_cut_base_equals_a_fresh_one(case, k):
     f, s, _ = case
     base = f.base(s)
@@ -193,7 +196,7 @@ def test_grown_cut_base_equals_a_fresh_one(case, k):
     assert _same_base(_base_arrays(base), _base_arrays(f.base(s)))
 
 
-@given(sparse_cut_cases(), st.lists(st.tuples(st.integers(0, 2**16), st.booleans()), max_size=8))
+@given(cut_cases(), st.lists(st.tuples(st.integers(0, 2**16), st.booleans()), max_size=8))
 def test_a_cut_base_shared_by_two_sides_is_left_unchanged(case, steps):
     """As the twin solvers start: two sides share one base and query it in
     turn, first both with e, a side that inserts grows its own base from
@@ -258,11 +261,11 @@ def _off_extensions(f, s, e):
         masks.append(s | 1 << free[0])
     if len(free) > 1:
         masks.append(grown | 1 << free[0] | 1 << free[-1])
-    assert all(objmod._added(grown, mask, f.n) < 0 for mask in masks)
+    assert all(core._added(grown, mask, f.n) < 0 for mask in masks)
     return masks
 
 
-@given(sparse_cut_cases())
+@given(cut_cases())
 def test_based_cut_query_off_an_extension_falls_back(case):
     f, s, e = case
     base = f.base(s | 1 << e)
@@ -272,7 +275,7 @@ def test_based_cut_query_off_an_extension_falls_back(case):
         assert f.query_count == q0 + 2
 
 
-@given(sparse_cut_cases())
+@given(cut_cases())
 def test_based_cut_query_rejects_ids_past_the_nodes(case):
     f, s, e = case
     base = f.base(s)
@@ -493,6 +496,70 @@ def test_based_marketing_query_rejects_ids_past_the_range(case):
         f.base(s | 1 << f.n)
     with pytest.raises(t.ContractViolation):
         f.base(s | 1 << f.n, base)
+
+
+@st.composite
+def contract_cases(draw, kind):
+    """An oracle of one kind that states its ground size n, a set s and an
+    id e < n outside s: a cut on either path (`cut_cases`), marketing
+    (`marketing_instances`), modular or coverage."""
+    if kind in ("list cut", "sparse cut"):
+        return draw(cut_cases(sparse=kind == "sparse cut"))
+    if kind == "marketing":
+        f = draw(marketing_instances())[0]
+    elif kind == "modular":
+        f = t.ModularObjective(draw(st.lists(st.floats(-10, 10), min_size=1, max_size=70)))
+    else:
+        items = draw(st.integers(1, 12))
+        covers = draw(st.lists(st.integers(0, (1 << items) - 1), min_size=1, max_size=70))
+        f = t.CoverageObjective(draw(st.lists(st.floats(0, 5), min_size=items, max_size=items)),
+                                covers)
+    e = draw(st.integers(0, f.n - 1))
+    return f, draw(st.integers(0, (1 << f.n) - 1)) & ~(1 << e), e
+
+
+def _snapshot(base):
+    """A deep copy of a base's fields, none for no base, for `_same_base`."""
+    return () if base is None else copy.deepcopy(tuple(base))
+
+
+@pytest.mark.parametrize("kind", ["list cut", "sparse cut", "marketing", "modular", "coverage"])
+@given(st.data())
+def test_every_oracle_keeps_the_query_contract(kind, data):
+    """The `ValueOracle` contract on every oracle that states n: a based
+    query of a one-element extension and of any other set equals the plain
+    query, exactly; every query counts one, also a rejected one, and
+    building a base counts none; ids at or past n are rejected by
+    `evaluate` and `base`, with or without a base; and a based query leaves
+    its base bit for bit as it was."""
+    f, s, e = data.draw(contract_cases(kind))
+    base = f.base(s)
+    before = _snapshot(base)
+    grown = s | 1 << e
+    for mask in [grown] + _off_extensions(f, s, e):
+        q0 = f.query_count
+        assert f.evaluate(mask, base) == f.evaluate(mask)
+        assert f.query_count == q0 + 2
+    for mask in (s | 1 << f.n, grown | 1 << (f.n + 3), 1 << f.n):
+        for based in (None, base):
+            q0 = f.query_count
+            with pytest.raises(t.ContractViolation, match="at or past the ground size"):
+                f.evaluate(mask, based)
+            assert f.query_count == q0 + 1
+            with pytest.raises(t.ContractViolation, match="at or past the ground size"):
+                f.base(mask, based)
+    q0 = f.query_count
+    assert _same_base(_snapshot(f.base(grown, base)), _snapshot(f.base(grown)))
+    assert f.query_count == q0
+    assert _same_base(_snapshot(base), before)
+
+
+@given(st.integers(0, 2**80), st.integers(0, 80))
+def test_callable_oracle_accepts_any_id_and_offers_no_base(s, e):
+    f = t.CallableOracle(lambda mask: mask.bit_count() / 3)
+    assert f.n is None and f.base(s) is None and f.base(s | 1 << e, f.base(s)) is None
+    assert f.evaluate(s | 1 << e, None) == f.evaluate(s | 1 << e) == (s | 1 << e).bit_count() / 3
+    assert f.query_count == 2
 
 
 def test_marketing_rejects_a_product_without_rr_sets(monkeypatch):

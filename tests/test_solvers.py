@@ -515,6 +515,33 @@ def test_exact_max_rejects_a_nan_empty_value():
         t.exact_max(t.CallableOracle(_nan_empty), t.UniformMatroid(4, 2), t.GroundSet(4))
 
 
+ENTRY_POINTS = {
+    "twin_greedy": t.twin_greedy,
+    "twin_greedy_fast": lambda f, c, g: t.twin_greedy_fast(f, c, g, 0.1),
+    "classic_greedy": t.classic_greedy,
+    "sample_greedy": t.sample_greedy,
+    "exact_max": t.exact_max,
+    **{f"solve-{name}": lambda f, c, g, name=name: t.solve(name, f, c, g, t.SolverParams(epsilon=0.1))
+       for name in SOLVE_NAMES},
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_every_entry_point_rejects_sizes_that_differ(entry):
+    """Each of the three sizes differing from the other two, as a cut on 10
+    nodes under a 10-element matroid over GroundSet(6), is rejected before
+    any query or check, not solved as a smaller sub-problem.  (A
+    CallableOracle states no size: the NaN tests above run it through
+    every entry point.)"""
+    for n_f, n_c, n_g in [(10, 10, 6), (10, 6, 10), (6, 10, 10)]:
+        f = t.CutMonitorObjective(t.WeightedGraph(n_f, [(0, 1, 1.0), (1, 5, 0.5), (5, 2, 2.0)]))
+        c = t.UniformMatroid(n_c, 3)
+        with pytest.raises(t.ContractViolation, match=f"ground set, constraint and oracle "
+                                                      f"sizes differ: {n_g}, {n_c} and {n_f}"):
+            entry(f, c, t.GroundSet(n_g))
+        assert f.query_count == c.check_count == 0
+
+
 def test_solve_dispatcher():
     graph, ground, oracle, constraint = helpers.cut_instance(7, seed=8200)
     params = t.SolverParams(epsilon=0.1, q=0.5, seed=1)
