@@ -198,7 +198,7 @@ def cmd_gen_graph(args) -> int:
     if args.weights:
         lo, hi = _parse_list("--weights", args.weights, float, count=2)
         graph = gen.assign_weights_uniform(graph, lo, hi, seed + 1)
-    parts = gen.assign_groups(args.n, args.groups, seed + 2) if args.groups else None
+    parts = gen.assign_groups(args.n, args.groups, seed + 2) if args.groups is not None else None
     obj.save_edge_list(args.out, graph)
     files = {args.out: {"sha256": _sha256(args.out), "bytes": os.path.getsize(args.out)}}
     if parts is not None:

@@ -18,12 +18,70 @@ from .objectives import RRSetCollection, WeightedGraph
 
 RNG_ID = "numpy-pcg64"
 
-# liveness coins gen_rr_sets draws per block
-_COIN_BLOCK = 128
+# 64-bit words _Stream reads from the bit generator at a time
+_BLOCK = 4096
 
 
 def _rng(seed):
     return np.random.default_rng(seed)
+
+
+class _Stream:
+    """The scalar draws of `np.random.default_rng(seed)`, read in raw blocks.
+
+    `random()` and `integers(k)` return what the Generator's own scalar
+    calls, made in the same order, return; the stream reads ahead of them
+    `_BLOCK` 64-bit words at a time with `random_raw`.  A double is a
+    word's top 53 bits times 2**-53 (PCG64's `next_double`); `doubles`
+    holds them for the whole block, and `pos` indexes both it and the
+    words.  An integer is Lemire's bounded draw on 32-bit halves, the low
+    half of a word first, with the upper half kept for the next integer
+    draw as PCG64's `has_uint32` keeps it.  A double leaves that half in
+    place.
+    """
+
+    def __init__(self, seed):
+        self._bit_generator = _rng(seed).bit_generator
+        self._words = np.empty(0, np.uint64)
+        self.doubles: list[float] = []
+        self.pos = 0
+        self._half = None
+
+    def reserve(self, count: int) -> None:
+        """Make at least `count` unread words follow `pos`."""
+        if self.pos + count > len(self.doubles):
+            raw = self._bit_generator.random_raw(max(_BLOCK, count))
+            self._words = np.concatenate((self._words[self.pos:], raw))
+            self.doubles = self.doubles[self.pos:] + ((raw >> np.uint64(11)) * 2.0**-53).tolist()
+            self.pos = 0
+
+    def random(self) -> float:
+        self.reserve(1)
+        self.pos += 1
+        return self.doubles[self.pos - 1]
+
+    def integers(self, k: int) -> int:
+        """Uniform on 0..k-1 for 1 <= k <= 2**32, as `Generator.integers(k)`."""
+        if not 1 <= k <= 1 << 32:
+            raise ContractViolation(f"need 1 <= k <= 2**32, got {k}")
+        if k == 1:
+            return 0
+        threshold = ((1 << 32) - k) % k
+        while True:
+            m = self._uint32() * k
+            if (m & 0xFFFFFFFF) >= threshold:
+                return m >> 32
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        self.reserve(1)
+        word = self._words.item(self.pos)
+        self.pos += 1
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
 
 
 def gen_er(n: int, p: float, seed: int) -> WeightedGraph:
@@ -50,7 +108,7 @@ def gen_ba(n: int, m0: int, m: int, seed: int) -> WeightedGraph:
         raise ContractViolation("need 1 <= m <= m0 <= n")
     if m0 < 2 and n > m0:
         raise ContractViolation("need m0 >= 2 when n > m0: newcomers attach to seed-clique edges")
-    rng = _rng(seed)
+    stream = _Stream(seed)
     edges: list[tuple[int, int, float]] = []
     # degree-weighted sampling via a repeated-endpoint list
     repeated: list[int] = []
@@ -61,7 +119,7 @@ def gen_ba(n: int, m0: int, m: int, seed: int) -> WeightedGraph:
     for v in range(m0, n):
         targets: set[int] = set()
         while len(targets) < m:
-            t = repeated[int(rng.integers(len(repeated)))]
+            t = repeated[stream.integers(len(repeated))]
             targets.add(t)
         for t in sorted(targets):
             edges.append((t, v, 1.0))
@@ -104,58 +162,46 @@ def gen_rr_sets(g: WeightedGraph, count: int, seed: int) -> RRSetCollection:
     Each edge is examined at most once per sample, so the lazy walk draws
     from the same distribution as materializing a full live-edge graph.
 
-    Coins are drawn `_COIN_BLOCK` at a time, which reads the same doubles
-    as one scalar `rng.random()` per coin.  After each walk the generator
-    is rewound to just past the last coin used, so every root, and every
-    set, is the one a scalar draw per coin gives.
+    Roots and coins come from one `_Stream`, so every set is the one a
+    scalar `rng.integers(n)` per root and `rng.random()` per coin give.
+    Before a node's in-edges are walked the stream holds a coin for each
+    of them, and the walk reads them straight from its `doubles`.
     """
     if count < 1:
         raise ContractViolation("need at least one sample")
     if not g.directed:
         raise ContractViolation("reverse-reachable sampling needs a directed graph")
-    if g.n_nodes < 1:
+    n = g.n_nodes
+    if n < 1:
         raise ContractViolation("reverse-reachable sampling needs at least one node")
     for u, v, p in g.edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ContractViolation(f"edge ({u},{v}) has an id outside 0..{n - 1}")
         if not 0.0 <= p <= 1.0:
             raise ContractViolation(f"edge ({u},{v}) has probability {p} outside [0,1]")
-    rng = _rng(seed)
+    stream = _Stream(seed)
     in_adj = g.in_adjacency()
     sets = []
     for _ in range(count):
-        root = int(rng.integers(g.n_nodes))
-        coins: list[float] = []
-        used = 0
+        root = stream.integers(n)
         seen = {root}
         queue = [root]
+        coins, used = stream.doubles, stream.pos
         for w in queue:  # breadth first: the queue grows while it is read
-            for u, p in in_adj[w]:
+            edges = in_adj[w]
+            if used + len(edges) > len(coins):
+                stream.pos = used
+                stream.reserve(len(edges))
+                coins, used = stream.doubles, stream.pos
+            for u, p in edges:
                 if u not in seen:
-                    if used == len(coins):
-                        if not coins:
-                            start = rng.bit_generator.state
-                        coins += rng.random(_COIN_BLOCK).tolist()
                     if coins[used] < p:
                         seen.add(u)
                         queue.append(u)
                     used += 1
-        if coins:
-            _rewind(rng.bit_generator, start, used)
+        stream.pos = used
         sets.append(bitmask(queue))
     return RRSetCollection(g.n_nodes, sets, source_seed=seed)
-
-
-def _rewind(bit_generator, start: dict, draws: int) -> None:
-    """Set `bit_generator` to where `draws` doubles drawn from `start` leave it.
-
-    `advance` also clears PCG64's buffered 32-bit half; a double draw
-    never touches it, and the next `integers` root may read it, so it is
-    put back from `start`.
-    """
-    bit_generator.state = start
-    bit_generator.advance(draws)
-    if start["has_uint32"]:
-        bit_generator.state = {**bit_generator.state, "has_uint32": 1,
-                               "uinteger": start["uinteger"]}
 
 
 def ic_exact_spread(g: WeightedGraph, seeds_mask: int) -> float:

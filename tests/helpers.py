@@ -149,3 +149,22 @@ def scalar_rr_sets(graph, count, seed):
         sets.append(mask)
         coins.append(drawn)
     return sets, coins
+
+
+def scalar_ba_edges(n, m0, m, seed):
+    """Barabasi-Albert edges drawn with one scalar `rng.integers` per
+    attachment draw, the generator `gen_ba` must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    edges, repeated = [], []
+    for u in range(m0):
+        for v in range(u + 1, m0):
+            edges.append((u, v, 1.0))
+            repeated += [u, v]
+    for v in range(m0, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+        for u in sorted(targets):
+            edges.append((u, v, 1.0))
+            repeated += [u, v]
+    return edges

@@ -80,6 +80,21 @@ def test_gen_graph_byte_identical_reruns(tmp_path):
             hashlib.sha256((tmp_path / "a.txt.parts").read_bytes()).hexdigest()) == GEN_GRAPH_SHA256
 
 
+# sha256 of the graph file of `gen-graph --model ba --n 300 --m0 5 --m 3
+# --seed 4`, recorded when `gen_ba` drew each attachment with one scalar
+# `rng.integers` call.
+GEN_BA_SHA256 = "6a0fafd83ab24ea33cb8019bc170e5eefe36fa180ffa7fcf4048367561444041"
+
+
+def test_gen_graph_ba_output_is_pinned(tmp_path, capsys):
+    out = tmp_path / "ba.txt"
+    assert run_cli(["gen-graph", "--model", "ba", "--n", "300", "--m0", "5", "--m", "3",
+                    "--seed", "4", "--out", str(out)]) == 0
+    manifest = json.loads(capsys.readouterr().out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_BA_SHA256
+    assert manifest["files"] == {str(out): {"sha256": GEN_BA_SHA256, "bytes": 9414}}
+
+
 # sha256 of the graph and parts files of the criterion-8 instance, `gen-graph
 # --model er --n 1000 --p 0.1 --weights 0,1 --groups 5 --seed 42`, recorded
 # when every input file was read line by line.
@@ -560,6 +575,9 @@ BAD_INPUTS = {
         "n >= 0"),
     "gen-graph-negative-groups": (
         {}, ["gen-graph", "--model", "er", "--n", "5", "--p", "0.5", "--groups", "-1",
+             "--out", "@o.txt"], "group"),
+    "gen-graph-zero-groups": (
+        {}, ["gen-graph", "--model", "er", "--n", "5", "--p", "0.5", "--groups", "0",
              "--out", "@o.txt"], "group"),
     "sweep-values-not-numbers": ({"g.txt": GRAPH_60}, SWEEP + ["--values", "x"], "--values"),
     "uniform-negative-k": ({"g.txt": GRAPH_60}, _swap(CUT, "--constraint", "uniform:k=-1"),

@@ -1,6 +1,7 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 import twinopt as t
@@ -180,10 +181,54 @@ def test_gen_rr_sets_equals_scalar_reference(name, count):
         assert t.gen_rr_sets(graph, count, seed).sets == want
 
 
-def test_dense_grid_walks_span_several_coin_blocks():
-    _, coins = helpers.scalar_rr_sets(RR_GRID["dense"], 150, 0)
-    assert max(coins) > 2 * generators._COIN_BLOCK
-    assert min(coins) < generators._COIN_BLOCK
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("name", RR_GRID)
+def test_gen_rr_sets_equals_scalar_reference_at_tiny_blocks(name, block, monkeypatch):
+    # refills fall inside walks, and between a root's two 32-bit halves
+    monkeypatch.setattr(generators, "_BLOCK", block)
+    graph = RR_GRID[name]
+    for seed in (0, 7, 2**40 + 3):
+        want, _ = helpers.scalar_rr_sets(graph, 40, seed)
+        assert t.gen_rr_sets(graph, 40, seed).sets == want
+
+
+@pytest.mark.parametrize("edge", [(0, 5, 0.5), (-1, 2, 0.5), (1, 3, 0.5)])
+def test_gen_rr_sets_rejects_edge_ids_outside_the_graph(edge):
+    graph = t.WeightedGraph(3, [(0, 1, 0.5), edge], directed=True)
+    with pytest.raises(t.ContractViolation, match=rf"edge \({edge[0]},{edge[1]}\) has an id"):
+        t.gen_rr_sets(graph, 5, 0)
+
+
+# 2**31 + 1 rejects about half its 32-bit draws in Lemire's method
+STREAM_KS = [1, 2, 3, 7, 1000, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, generators._BLOCK])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_stream_draws_what_the_generator_draws(seed, block, monkeypatch):
+    monkeypatch.setattr(generators, "_BLOCK", block)
+    rng, stream = np.random.default_rng(seed), generators._Stream(seed)
+    for i in range(2000):
+        k = STREAM_KS[i % len(STREAM_KS)]
+        if i % 4 == 0:  # a double between integers leaves the buffered half in place
+            assert stream.random() == rng.random()
+        else:
+            assert stream.integers(k) == int(rng.integers(k))
+    assert stream.integers(2**32) == int(rng.integers(2**32))
+    assert stream.random() == rng.random()
+
+
+def test_stream_rejects_k_outside_one_to_two_to_the_32():
+    stream = generators._Stream(0)
+    for k in (0, -1, 2**32 + 1, 2**40):
+        with pytest.raises(t.ContractViolation):
+            stream.integers(k)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), (5, 2, 1), (30, 4, 2), (200, 5, 3), (120, 8, 8)])
+def test_gen_ba_equals_scalar_reference(shape):
+    for seed in (0, 1, 7, 2**40 + 3):
+        assert t.gen_ba(*shape, seed).edges == helpers.scalar_ba_edges(*shape, seed)
 
 
 def test_ic_exact_spread_trivia():
