@@ -43,7 +43,6 @@ from .generators import (
 )
 from .solvers import (
     ExactResult,
-    SolverParams,
     classic_greedy,
     exact_max,
     sample_greedy,

@@ -16,13 +16,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .constraints import rank
-from .core import (CallableOracle, ContractViolation, GroundSet, InsertionLog, RunReport,
+from .core import (TOL, CallableOracle, ContractViolation, GroundSet, InsertionLog, RunReport,
                    ValueOracle, bitmask, left_sum, members)
-
-
-# Absolute slack each checked inequality allows for float rounding: sums of
-# logged gains and fresh evaluations of one quantity may differ by ulps.
-TOL = 1e-9
 
 
 class CertificationError(RuntimeError):

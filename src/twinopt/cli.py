@@ -24,7 +24,7 @@ from . import constraints as cons
 from . import generators as gen
 from . import objectives as obj
 from .core import ContractViolation, GroundSet, ParameterError, read_fixed_rows, read_rows
-from .solvers import SolverParams, exact_max, solve
+from .solvers import exact_max, solve
 
 CSV_HEADER = ["algo", "axis", "rep", "utility", "value_queries",
               "independence_checks", "wall_time_s", "solution_size"]
@@ -242,7 +242,7 @@ def cmd_run(args) -> int:
     f, hashes = build_objective(args)
     constraint = parse_constraint_spec(args.constraint, f.n)
     report = solve(args.algo, f, constraint, GroundSet(f.n),
-                   SolverParams(epsilon=args.epsilon, q=args.q, seed=seed))
+                   epsilon=args.epsilon, q=args.q, seed=seed)
     payload = report.to_dict(include_timing=not args.no_timing)
     payload["invocation"] = {
         "algo": args.algo, "objective": args.objective, "constraint": args.constraint,
@@ -263,7 +263,7 @@ def _sweep_cell(task):
     f = task["f"]
     constraint = parse_constraint_spec(task["constraint"], f.n)
     report = solve(task["algo"], f, constraint, GroundSet(f.n),
-                   SolverParams(epsilon=task["epsilon"], q=task["q"], seed=task["seed"]))
+                   epsilon=task["epsilon"], q=task["q"], seed=task["seed"])
     payload = report.to_dict(include_timing=task["timing"])
     return _csv_row(task["algo"], task["axis"], task["rep"], payload)
 
@@ -400,7 +400,7 @@ def cmd_certify(args) -> int:
         constraint = parse_constraint_spec(f"{kind}cap=2,h=2,seed={inst_seed + 2}", n)
         optimum = exact_max(oracle, constraint, ground)
         for algo in algos:
-            report = solve(algo, oracle, constraint, ground, SolverParams(epsilon=args.epsilon))
+            report = solve(algo, oracle, constraint, ground, epsilon=args.epsilon)
             try:
                 cert = certify_mod.certify_run(oracle, constraint, report,
                                                optimum.solution, optimum.value, p=p)

@@ -22,10 +22,6 @@ RNG_ID = "numpy-pcg64"
 _BLOCK = 4096
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
 class _Stream:
     """The scalar draws of `np.random.default_rng(seed)`, read in raw blocks.
 
@@ -41,7 +37,7 @@ class _Stream:
     """
 
     def __init__(self, seed):
-        self._bit_generator = _rng(seed).bit_generator
+        self._bit_generator = np.random.default_rng(seed).bit_generator
         self._words = np.empty(0, np.uint64)
         self.doubles: list[float] = []
         self.pos = 0
@@ -88,7 +84,7 @@ def gen_er(n: int, p: float, seed: int) -> WeightedGraph:
     """Erdos-Renyi G(n, p): each unordered pair kept independently w.p. p."""
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ContractViolation(f"need n >= 0 and edge probability p in [0,1], got {n}, {p}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     edges: list[tuple[int, int, float]] = []
     if n >= 2 and p > 0.0:
         rows, cols = np.triu_indices(n, k=1)
@@ -131,7 +127,7 @@ def assign_weights_uniform(g: WeightedGraph, lo: float, hi: float, seed: int) ->
     """Replace edge weights with i.i.d. uniforms from [lo, hi)."""
     if not 0.0 <= lo <= hi < math.inf:
         raise ContractViolation(f"need finite weights 0 <= lo <= hi, got {lo}, {hi}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     draws = rng.uniform(lo, hi, len(g.edges)) if g.edges else np.empty(0)
     edges = [(u, v, w) for (u, v, _), w in zip(g.edges, draws.tolist())]
     return WeightedGraph(g.n_nodes, edges, directed=g.directed)
@@ -141,7 +137,7 @@ def assign_groups(n: int, h: int, seed: int) -> list[int]:
     """Assign each of n nodes uniformly to one of h parts."""
     if h < 1:
         raise ContractViolation("need at least one group")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return rng.integers(0, h, n).tolist()
 
 
@@ -149,9 +145,19 @@ def set_indegree_probabilities(g: WeightedGraph) -> WeightedGraph:
     """Set each edge's activation probability to 1/indegree of its head."""
     if not g.directed:
         raise ContractViolation("in-degree probabilities need a directed graph")
+    g.validate()
     deg = g.in_degrees()
     edges = [(u, v, 1.0 / deg[v]) for u, v, _ in g.edges]
     return WeightedGraph(g.n_nodes, edges, directed=True)
+
+
+def _check_probabilities(g: WeightedGraph) -> None:
+    """Raise as `g.validate()` does, or for the first edge whose weight, its
+    activation probability, is above 1."""
+    above = np.flatnonzero(g.validate()[:, 2] > 1.0)
+    if len(above):
+        u, v, p = g.edges[above[0]]
+        raise ContractViolation(f"edge ({u},{v}) has probability {p} outside [0,1]")
 
 
 def gen_rr_sets(g: WeightedGraph, count: int, seed: int) -> RRSetCollection:
@@ -174,11 +180,7 @@ def gen_rr_sets(g: WeightedGraph, count: int, seed: int) -> RRSetCollection:
     n = g.n_nodes
     if n < 1:
         raise ContractViolation("reverse-reachable sampling needs at least one node")
-    for u, v, p in g.edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ContractViolation(f"edge ({u},{v}) has an id outside 0..{n - 1}")
-        if not 0.0 <= p <= 1.0:
-            raise ContractViolation(f"edge ({u},{v}) has probability {p} outside [0,1]")
+    _check_probabilities(g)
     stream = _Stream(seed)
     in_adj = g.in_adjacency()
     sets = []
@@ -201,7 +203,7 @@ def gen_rr_sets(g: WeightedGraph, count: int, seed: int) -> RRSetCollection:
                     used += 1
         stream.pos = used
         sets.append(bitmask(queue))
-    return RRSetCollection(g.n_nodes, sets, source_seed=seed)
+    return RRSetCollection(g.n_nodes, sets)
 
 
 def ic_exact_spread(g: WeightedGraph, seeds_mask: int) -> float:
@@ -213,6 +215,7 @@ def ic_exact_spread(g: WeightedGraph, seeds_mask: int) -> float:
     n_edges = len(g.edges)
     if n_edges > 20:
         raise ContractViolation("exact spread enumerates 2^|E| patterns; need |E| <= 20")
+    _check_probabilities(g)
     if seeds_mask == 0:
         return 0.0
     seeds = members(seeds_mask)

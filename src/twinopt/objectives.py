@@ -37,12 +37,20 @@ class WeightedGraph:
     edges: list[tuple[int, int, float]] = field(default_factory=list)
     directed: bool = False
 
-    def validate(self):
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-                raise ContractViolation(f"edge ({u},{v}) outside node range")
-            if not (math.isfinite(w) and w >= 0):
-                raise ContractViolation(f"edge ({u},{v}) has bad weight {w}")
+    def validate(self) -> np.ndarray:
+        """Check every edge against `_edges_ok` in one NumPy pass and return
+        the m x 3 float64 array of rows (u, v, w) it checked.  A bad edge
+        raises ContractViolation naming the first one: `has an id outside
+        0..n-1` when an id is out of range, else `has bad weight w`."""
+        m = len(self.edges)
+        cells = np.fromiter(chain.from_iterable(self.edges), np.float64, 3 * m).reshape(m, 3)
+        bad = np.flatnonzero(~_edges_ok(*cells.T, self.n_nodes))
+        if len(bad):
+            u, v, w = self.edges[bad[0]]
+            if not _edges_ok(u, v, 0.0, self.n_nodes):
+                raise ContractViolation(f"edge ({u},{v}) has an id outside 0..{self.n_nodes - 1}")
+            raise ContractViolation(f"edge ({u},{v}) has bad weight {w}")
+        return cells
 
     def in_adjacency(self) -> list[list[tuple[int, float]]]:
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
@@ -64,18 +72,24 @@ def save_edge_list(path, graph: WeightedGraph) -> None:
     write_rows(path, graph.edges, {"nodes": graph.n_nodes, "directed": int(graph.directed)})
 
 
+def _edges_ok(u, v, w, n):
+    """The rule for an edge of an n-node graph: ids in 0..n-1 and a finite
+    weight >= 0.  Written with `&`, so u, v and w may be Python scalars
+    (a bool back) or NumPy columns (a bool array back)."""
+    return (0 <= u) & (u < n) & (0 <= v) & (v < n) & (0 <= w) & (w < math.inf)
+
+
 def _edge_row(fields, header):
     u, v, w = fields
     u, v, w, n = int(u), int(v), float(w), header.get("nodes", MAX_HEADER_COUNT)
-    if not (0 <= u < n and 0 <= v < n and 0 <= w < math.inf):
+    if not _edges_ok(u, v, w, n):
         raise ContractViolation(f"edge {u} {v} {w} needs ids in 0..{n - 1} and a weight >= 0")
     return u, v, w
 
 
 def _edges_valid(header, u, v, w) -> bool:
     """`_edge_row`'s rule over the columns of an edge list."""
-    n = header.get("nodes", MAX_HEADER_COUNT)
-    return bool(((0 <= u) & (u < n) & (0 <= v) & (v < n) & (0 <= w) & (w < math.inf)).all())
+    return bool(_edges_ok(u, v, w, header.get("nodes", MAX_HEADER_COUNT)).all())
 
 
 def load_edge_list(path, directed: bool | None = None) -> WeightedGraph:
@@ -122,20 +136,15 @@ class CutMonitorObjective(ValueOracle):
         super().__init__()
         if graph.directed:
             raise ContractViolation("monitoring graphs are undirected")
+        cells = graph.validate()
         self.graph = graph
-        self.n = graph.n_nodes
-        self._sparse = self.n >= _SPARSE_MIN_NODES
+        self.n = n = graph.n_nodes
+        self._sparse = n >= _SPARSE_MIN_NODES
         if self._sparse:
-            m = len(graph.edges)
-            cells = np.fromiter(chain.from_iterable(graph.edges), np.float64, 3 * m).reshape(m, 3)
-            u, v, w = cells.T
-            n = self.n
-            if not ((0 <= u) & (u < n) & (0 <= v) & (v < n) & np.isfinite(w) & (w >= 0)).all():
-                graph.validate()  # raises, naming the first bad edge
             ids = cells[:, :2].astype(np.int64)
             # both orientations of each edge in turn: u v, v u, as COO entries
             self._adj = sp.csr_matrix(
-                (w.repeat(2), (ids.ravel(), ids[:, ::-1].ravel())),
+                (cells[:, 2].repeat(2), (ids.ravel(), ids[:, ::-1].ravel())),
                 shape=(n, n),
             )
             # row u's [start, end) in the CSR arrays, for the row kernel, and
@@ -144,7 +153,6 @@ class CutMonitorObjective(ValueOracle):
             self._indptr = self._adj.indptr.tolist()
             self._nbytes = (self.n + 7) // 8
         else:
-            graph.validate()
             # undirected: each node's neighbours as (1 << v, w), in adjacency order
             self._nbrs = [[(1 << v, w) for v, w in nbrs] for nbrs in graph.in_adjacency()]
 
@@ -221,7 +229,6 @@ class RRSetCollection:
 
     n_nodes: int
     sets: list[int]  # node bitmasks
-    source_seed: int | None = None
 
     def __len__(self):
         return len(self.sets)

@@ -57,15 +57,6 @@ from .generators import RNG_ID
 TIE_BREAK = "side1-lowest-id"
 
 
-@dataclass
-class SolverParams:
-    """Knobs shared by the solve() front door."""
-
-    epsilon: float | None = None  # threshold decay (thresholded solver)
-    q: float = 0.5  # inclusion probability (sampled baseline)
-    seed: int | None = None  # rng seed for randomized baselines
-
-
 def _start(f: ValueOracle, constraint: IndependenceOracle) -> tuple[float, int, int]:
     """The clock and both oracle counters at solver entry."""
     return time.perf_counter(), f.query_count, constraint.check_count
@@ -350,26 +341,26 @@ def exact_max(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet)
     return ExactResult(solution=best[0], value=best[1], sets_visited=best[2])
 
 
-def solve(name: str, f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet,
-          params: SolverParams | None = None) -> RunReport:
+def solve(name: str, f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet, *,
+          epsilon: float | None = None, q: float = 0.5, seed: int | None = None) -> RunReport:
     """The one front door over the implemented algorithms.
 
     Names: `twin` (twin_greedy), `twinfast` (twin_greedy_fast, needs
-    `params.epsilon`), `samplegreedy` (sample_greedy with `params.q` and
-    `params.seed`), `greedy` (classic_greedy) and `exact` (exact_max).
+    `epsilon`, the threshold decay), `samplegreedy` (sample_greedy with
+    the inclusion probability `q` and the rng `seed`, None read as 0),
+    `greedy` (classic_greedy) and `exact` (exact_max).
     The `exact` report carries the optimum as side 1, an empty side 2 and
     an empty log; its query count includes one f(empty) evaluation made
     before the search.
     """
-    params = params or SolverParams()
     if name == "twin":
         return twin_greedy(f, constraint, ground)
     if name == "twinfast":
-        if params.epsilon is None:
+        if epsilon is None:
             raise ParameterError("the thresholded solver needs epsilon")
-        return twin_greedy_fast(f, constraint, ground, params.epsilon)
+        return twin_greedy_fast(f, constraint, ground, epsilon)
     if name == "samplegreedy":
-        return sample_greedy(f, constraint, ground, q=params.q, seed=params.seed or 0)
+        return sample_greedy(f, constraint, ground, q=q, seed=seed or 0)
     if name == "greedy":
         return classic_greedy(f, constraint, ground)
     if name == "exact":

@@ -105,6 +105,18 @@ def fast_budget(n, r, eps):
     return n + 2 * n * (passes + 1)
 
 
+def edge_loop_validate(graph):
+    """`WeightedGraph.validate` as a loop over the edges, the reference for
+    its NumPy pass: the first edge with an id outside 0..n-1 or a weight
+    that is not finite and >= 0 raises, its ids checked first."""
+    n = graph.n_nodes
+    for u, v, w in graph.edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise t.ContractViolation(f"edge ({u},{v}) has an id outside 0..{n - 1}")
+        if not (math.isfinite(w) and w >= 0):
+            raise t.ContractViolation(f"edge ({u},{v}) has bad weight {w}")
+
+
 def naive_cut(graph, mask):
     """Independent double-loop edge scan used as a value oracle of record."""
     total = 0.0

@@ -631,6 +631,18 @@ BAD_INPUTS = {
                                 MARKETING, f"rr.txt:1: header count {TOO_MANY}"),
     "rrsets-id-above-max": ({"rr.txt": f"0 {TOO_MANY - 1}\n", "c.txt": COSTS_3}, MARKETING,
                             f"rr.txt:1: node id {TOO_MANY - 1}"),
+    # an objective or a model without the flag it reads
+    "run-cut-without-graph": ({}, CUT[:5] + CUT[7:], "cut objective needs --graph"),
+    "run-modular-without-weights": (
+        {}, ["run", "--algo", "twin", "--objective", "modular", "--constraint", "uniform:k=2"],
+        "modular objective needs --weights-file"),
+    "run-marketing-without-rrsets": ({"c.txt": COSTS_3}, MARKETING[:5] + MARKETING[7:],
+                                     "marketing objective needs --rrsets"),
+    "gen-graph-er-without-p": ({}, ["gen-graph", "--model", "er", "--n", "5", "--out", "@o.txt"],
+                               "er model needs --p"),
+    "gen-graph-ba-without-m0": (
+        {}, ["gen-graph", "--model", "ba", "--n", "5", "--m", "1", "--out", "@o.txt"],
+        "ba model needs --m0"),
 }
 
 

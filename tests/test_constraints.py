@@ -179,7 +179,10 @@ def test_parse_seed_config():
     lambda: t.SeedMatroid(3, 1, -1),
     lambda: t.SeedMatroid(3, 0, 1),
     lambda: t.SeedMatroid(-1, 1, 1),
-], ids=["uniform-k", "partition-cap", "seed-k", "seed-m", "seed-nodes"])
+    lambda: t.IntersectionSystem([]),
+    lambda: t.IntersectionSystem([t.UniformMatroid(3, 1), t.UniformMatroid(4, 1)]),
+], ids=["uniform-k", "partition-cap", "seed-k", "seed-m", "seed-nodes", "intersection-empty",
+        "intersection-two-sizes"])
 def test_constructors_reject_negative_sizes(build):
     with pytest.raises(t.ContractViolation):
         build()

@@ -16,12 +16,6 @@ def test_ground_set_rejects_negative_n():
         t.GroundSet(-1)
 
 
-def test_ground_set_labels_must_cover_ids():
-    t.GroundSet(2, labels={0: "a", 1: "b"})
-    with pytest.raises(t.ContractViolation):
-        t.GroundSet(2, labels={0: "a"})
-
-
 @given(st.sets(st.integers(0, 63)), st.sets(st.integers(0, 63)))
 def test_mask_algebra_inclusion_exclusion(a_ids, b_ids):
     a, b = t.bitmask(a_ids), t.bitmask(b_ids)

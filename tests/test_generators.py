@@ -199,6 +199,43 @@ def test_gen_rr_sets_rejects_edge_ids_outside_the_graph(edge):
         t.gen_rr_sets(graph, 5, 0)
 
 
+def _graph(*extra, directed=True):
+    return t.WeightedGraph(3, [(0, 1, 0.5), *extra], directed=directed)
+
+
+def _spread(graph):
+    return t.ic_exact_spread(graph, 0b1)
+
+
+def _rr_sets(graph, count=5):
+    return t.gen_rr_sets(graph, count, 0)
+
+
+# each call, a graph it must reject, and the text its error must hold
+REJECTED = {
+    "indegree-id-past-n": (t.set_indegree_probabilities, _graph((0, 5, 0.5)),
+                           r"edge \(0,5\) has an id"),
+    "indegree-negative-id": (t.set_indegree_probabilities, _graph((-1, 2, 0.5)),
+                             r"edge \(-1,2\) has an id"),
+    "spread-id-past-n": (_spread, _graph((0, 5, 0.5)), r"edge \(0,5\) has an id"),
+    "spread-negative-id": (_spread, _graph((-1, 2, 0.5)), r"edge \(-1,2\) has an id"),
+    "spread-probability-above-one": (_spread, _graph((0, 2, 2.0)),
+                                     r"edge \(0,2\) has probability 2.0"),
+    "rr-probability-above-one": (_rr_sets, _graph((0, 2, 1.5)),
+                                 r"edge \(0,2\) has probability 1.5"),
+    "rr-no-samples": (lambda g: _rr_sets(g, 0), _graph(), "at least one sample"),
+    "rr-undirected": (_rr_sets, _graph(directed=False), "directed graph"),
+    "indegree-undirected": (t.set_indegree_probabilities, _graph(directed=False),
+                            "directed graph"),
+}
+
+
+@pytest.mark.parametrize("call, graph, error", REJECTED.values(), ids=REJECTED.keys())
+def test_generators_reject_bad_graphs(call, graph, error):
+    with pytest.raises(t.ContractViolation, match=error):
+        call(graph)
+
+
 # 2**31 + 1 rejects about half its 32-bit draws in Lemire's method
 STREAM_KS = [1, 2, 3, 7, 1000, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
 

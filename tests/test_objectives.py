@@ -112,14 +112,40 @@ def test_sparse_cut_adjacency_equals_the_edge_loop(case):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _bad_edges(n):
+    """Edges that break the rule on n nodes: an id out of range on either
+    end or both, a weight negative, NaN or infinite, and both at once."""
+    return [(0, n, 1.0), (-1, 0, 1.0), (n + 7, -3, 0.0), (0, 1, -0.5), (1, 0, float("nan")),
+            (2, 2, float("inf")), (n, 0, -1.0)]
+
+
+def _with_bad_edges(data, n, edges, min_size):
+    """`edges` with between min_size and three bad edges put in at random places."""
+    for edge in data.draw(st.lists(st.sampled_from(_bad_edges(n)), min_size=min_size, max_size=3)):
+        edges.insert(data.draw(st.integers(0, len(edges))), edge)
+    return t.WeightedGraph(n, edges)
+
+
+@given(sparse_edge_lists(), st.data())
+def test_validate_equals_the_edge_loop(case, data):
+    n, edges = case
+    graph = _with_bad_edges(data, n, edges, 0)
+    try:
+        helpers.edge_loop_validate(graph)
+    except t.ContractViolation as want:
+        with pytest.raises(t.ContractViolation) as got:
+            graph.validate()
+        assert str(got.value) == str(want)
+    else:
+        cells = graph.validate()
+        assert cells.dtype == np.float64 and cells.shape == (len(edges), 3)
+        assert cells.tolist() == [[float(x) for x in edge] for edge in edges]
+
+
 @given(sparse_edge_lists(), st.data())
 def test_sparse_cut_rejects_the_first_bad_edge_as_validate_does(case, data):
     n, edges = case
-    bad = [(0, n, 1.0), (-1, 0, 1.0), (n + 7, -3, 0.0), (0, 1, -0.5), (1, 0, float("nan")),
-           (2, 2, float("inf")), (n, 0, -1.0)]
-    for edge in data.draw(st.lists(st.sampled_from(bad), min_size=1, max_size=3)):
-        edges.insert(data.draw(st.integers(0, len(edges))), edge)
-    graph = t.WeightedGraph(n, edges)
+    graph = _with_bad_edges(data, n, edges, 1)
     with pytest.raises(t.ContractViolation) as want:
         graph.validate()
     with pytest.raises(t.ContractViolation) as got:
@@ -571,6 +597,10 @@ def test_marketing_rejects_a_product_without_rr_sets(monkeypatch):
     for costs, budget in (([0.5], None), ([0.5, 1.0], 1.0), ([0.5, float("nan")], None)):
         with pytest.raises(t.ContractViolation):
             t.MarketingObjective(z[:1] * 2, costs, budget)
+    for collections, error in (([], "one RR collection per product"),
+                               ([z[0], t.RRSetCollection(3, [0b100])], "share one node set")):
+        with pytest.raises(t.ContractViolation, match=error):
+            t.MarketingObjective(collections, [0.5, 1.0])
     assert built == []  # validation comes before the index is built
     t.MarketingObjective(z[:1] * 2, [0.5, 1.0])
     assert len(built) == 2
@@ -775,7 +805,8 @@ BULK_LOADERS = {
 NUMBERS = ["+3", "-0", "-1", "007", "9", str(2 ** 24), "3.0", "1_0", ".5", "5.", "1e400", "1e-400",
            "nan", "inf", "-inf", "0x10", "\u0663", "x", str(2 ** 63), str(2 ** 64)]
 GAPS = ["\t", "\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "  "]
-ODD_LINES = ["", "   ", "\xa0", "# c", "#", "# nodes 3", "# nodes 9 directed 1", "# directed 1"]
+ODD_LINES = ["", "   ", "\xa0", "# c", "#", "# nodes 3", "# nodes 9 directed 1", "# directed 1",
+             "# nodes x", "# nodes -1", "# nodes 99999999"]
 
 
 @st.composite

@@ -505,9 +505,9 @@ def _nan_empty(mask):
 
 @pytest.mark.parametrize("name", SOLVE_NAMES)
 def test_every_solver_rejects_a_nan_empty_value(name):
-    params = t.SolverParams(epsilon=0.1, q=0.5, seed=1)
     with pytest.raises(t.ContractViolation, match=r"f\(empty\) is NaN"):
-        t.solve(name, t.CallableOracle(_nan_empty), t.UniformMatroid(4, 2), t.GroundSet(4), params)
+        t.solve(name, t.CallableOracle(_nan_empty), t.UniformMatroid(4, 2), t.GroundSet(4),
+                epsilon=0.1, q=0.5, seed=1)
 
 
 def test_exact_max_rejects_a_nan_empty_value():
@@ -521,7 +521,7 @@ ENTRY_POINTS = {
     "classic_greedy": t.classic_greedy,
     "sample_greedy": t.sample_greedy,
     "exact_max": t.exact_max,
-    **{f"solve-{name}": lambda f, c, g, name=name: t.solve(name, f, c, g, t.SolverParams(epsilon=0.1))
+    **{f"solve-{name}": lambda f, c, g, name=name: t.solve(name, f, c, g, epsilon=0.1)
        for name in SOLVE_NAMES},
 }
 
@@ -544,9 +544,9 @@ def test_every_entry_point_rejects_sizes_that_differ(entry):
 
 def test_solve_dispatcher():
     graph, ground, oracle, constraint = helpers.cut_instance(7, seed=8200)
-    params = t.SolverParams(epsilon=0.1, q=0.5, seed=1)
+    params = {"epsilon": 0.1, "q": 0.5, "seed": 1}
     for name, algorithm in SOLVE_NAMES.items():
-        assert t.solve(name, oracle(), constraint(), ground, params).algorithm == algorithm
+        assert t.solve(name, oracle(), constraint(), ground, **params).algorithm == algorithm
     report = t.solve("exact", oracle(), constraint(), ground)
     g = oracle()
     res = t.exact_max(g, constraint(), ground)
@@ -559,7 +559,7 @@ def test_solve_dispatcher():
     for name in ("nope", "twin_greedy", "twin_greedy_fast", "sample_greedy",
                  "classic_greedy"):
         with pytest.raises(t.ParameterError):
-            t.solve(name, oracle(), constraint(), ground, params)
+            t.solve(name, oracle(), constraint(), ground, **params)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_NAMES))
@@ -570,7 +570,7 @@ def test_report_counts_equal_oracle_counter_deltas(name):
     f.evaluate(0b101)
     c.is_independent(0b11)
     q0, k0 = f.query_count, c.check_count
-    report = t.solve(name, f, c, ground, t.SolverParams(epsilon=0.1, seed=2))
+    report = t.solve(name, f, c, ground, epsilon=0.1, seed=2)
     assert report.value_queries == f.query_count - q0 > 0
     assert report.independence_checks == c.check_count - k0 > 0
 
@@ -618,7 +618,7 @@ def test_positional_evaluate_wrapper_sees_every_query(name):
         return method(*args)
 
     f.evaluate = wrapped
-    report = t.solve(name, f, constraint(), ground, t.SolverParams(epsilon=0.1, seed=3))
+    report = t.solve(name, f, constraint(), ground, epsilon=0.1, seed=3)
     assert len(arities) == report.value_queries == f.query_count
     assert arities.count(2) > arities.count(1)  # most queries came with a base
     assert report.log.entries
