@@ -10,7 +10,6 @@ from .core import (
     RunReport,
     ValueOracle,
     bitmask,
-    marginal_gain,
     members,
     submodularity_check,
 )
@@ -23,7 +22,6 @@ from .constraints import (
     verify_matroid,
 )
 from .objectives import (
-    CoverageObjective,
     CutMonitorObjective,
     MarketingObjective,
     ModularObjective,

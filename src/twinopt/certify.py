@@ -5,8 +5,12 @@ classifies the optimal elements against the report's insertion log,
 rebuilds the backward-sweep charging maps into each side, and verifies
 every inequality the approximation guarantee rests on.  Which guarantee
 applies (exact or thresholded, with its epsilon and smallest bar) is read
-from the report.  A failure here means a bug in a solver, a constraint,
-or an objective, not a tight instance.
+from the report.  A report whose log does not replay to its sides, or
+whose sides are not both independent, is rejected before any check.
+Feasibility against a side's prefix is asked of the constraint's own
+states, replayed from the log, as the solvers ask it.  A failure here
+means a bug in a solver, a constraint, or an objective, not a tight
+instance.
 """
 
 from __future__ import annotations
@@ -100,48 +104,66 @@ def _variant(report: RunReport) -> tuple[str, float, float | None]:
     return "threshold", float(params.get("epsilon", 0.0)), params.get("tau_min")
 
 
+def _replay(report: RunReport, constraint):
+    """Fold the log through `constraint.add` (uncounted).
+
+    Returns per side the list of its prefix states, entry k being the
+    state after its first k insertions, and per logged element the two
+    side lengths just before it was inserted.  A state stands for its
+    prefix when the side is independent, which certify_run checks."""
+    states = ([constraint.empty_state()], [constraint.empty_state()])
+    before = {}
+    for ent in report.log.entries:
+        before[ent.element] = (len(states[0]) - 1, len(states[1]) - 1)
+        side = states[ent.side - 1]
+        side.append(constraint.add(side[-1], ent.element))
+    return states, before
+
+
 def classify(report: RunReport, optimal: int, constraint) -> ClassifiedOptimal:
     """Assign each optimal element to its class given a finished run."""
     s1, s2 = report.s1, report.s2
-    pre = report.log.pre_masks()
+    states, before = _replay(report, constraint)
     cls = ClassifiedOptimal()
     for e in members(optimal & s1):
-        if constraint.is_independent(pre[e][1] | (1 << e)):
+        if constraint.can_add(states[1][before[e][1]], e):
             cls.o1_plus |= 1 << e
         else:
             cls.o1_minus |= 1 << e
     for e in members(optimal & s2):
-        if constraint.is_independent(pre[e][0] | (1 << e)):
+        if constraint.can_add(states[0][before[e][0]], e):
             cls.o2_plus |= 1 << e
         else:
             cls.o2_minus |= 1 << e
     outside = optimal & ~(s1 | s2)
     for e in members(outside):
-        if not constraint.is_independent(s1 | (1 << e)):
+        if not constraint.can_add(states[0][-1], e):
             cls.o3 |= 1 << e
-        if not constraint.is_independent(s2 | (1 << e)):
+        if not constraint.can_add(states[1][-1], e):
             cls.o4 |= 1 << e
     cls.o5 = outside & ~cls.o3
     cls.o6 = outside & ~cls.o4
     return cls
 
 
-def _sweep(side_elements: list[int], pool: int, identity: int, constraint, p: int) -> dict[int, int]:
+def _sweep(side_elements: list[int], states: list, pool: int, identity: int, constraint,
+           p: int) -> dict[int, int]:
     """Backward sweep assigning pool elements to side elements.
 
     Walks the side from its last insertion to its first.  At step j the
-    addable pool elements against the side's length-(j-1) prefix form
-    A_j.  An identity-reserved side element u_j takes itself plus the
-    first p-1 others of A_j; any other step takes the first p of A_j.
-    The pool must be exhausted when the sweep ends.
+    addable pool elements against the side's length-(j-1) prefix, whose
+    state is `states[j - 1]`, form A_j.  An identity-reserved side element
+    u_j takes itself plus the first p-1 others of A_j; any other step
+    takes the first p of A_j.  The pool must be exhausted when the sweep
+    ends.
     """
     mapping: dict[int, int] = {}
     remaining = pool
+    prefix = bitmask(side_elements)
     for j in range(len(side_elements), 0, -1):
         u_j = side_elements[j - 1]
-        prefix = bitmask(side_elements[: j - 1])
-        a_j = [x for x in members(remaining & ~prefix)
-               if constraint.is_independent(prefix | (1 << x))]
+        prefix &= ~(1 << u_j)
+        a_j = [x for x in members(remaining & ~prefix) if constraint.can_add(states[j - 1], x)]
         if (identity >> u_j) & 1:
             if u_j not in a_j:
                 raise CertificationError(
@@ -162,7 +184,8 @@ def build_pi(report: RunReport, classes: ClassifiedOptimal, constraint, p: int =
     """Construct both charging maps; raises CertificationError on failure."""
     if p < 1:
         raise ContractViolation("p must be >= 1")
-    pi1, pi2 = (_sweep(report.log.side_elements(side), classes.pools[side - 1],
+    states, _ = _replay(report, constraint)
+    pi1, pi2 = (_sweep(report.log.side_elements(side), states[side - 1], classes.pools[side - 1],
                        classes.identities[side - 1], constraint, p) for side in (1, 2))
     return PiMapping(pi1=pi1, pi2=pi2)
 
@@ -170,8 +193,10 @@ def build_pi(report: RunReport, classes: ClassifiedOptimal, constraint, p: int =
 def check_pi_properties(report: RunReport, classes: ClassifiedOptimal, pi: PiMapping,
                         constraint, p: int = 1) -> list[tuple[str, bool]]:
     """Verify domain coverage, feasibility at the target's moment, identity
-    on the prescribed subsets, and the preimage cap."""
+    on the prescribed subsets, and the preimage cap.  An e already in the
+    target's prefix is feasible there, as that prefix is independent."""
     pre = report.log.pre_masks()
+    states, before = _replay(report, constraint)
     results = []
     for side, mapping, side_mask in ((1, pi.pi1, report.s1), (2, pi.pi2, report.s2)):
         results.append((f"pi{side}_domain", bitmask(mapping.keys()) == classes.pools[side - 1]))
@@ -179,7 +204,8 @@ def check_pi_properties(report: RunReport, classes: ClassifiedOptimal, pi: PiMap
         results.append((f"pi{side}_identity", all(
             mapping.get(e) == e for e in members(classes.identities[side - 1]))))
         feasible = all(
-            constraint.is_independent(pre[t][side - 1] | (1 << e))
+            (pre[t][side - 1] >> e) & 1
+            or constraint.can_add(states[side - 1][before[t][side - 1]], e)
             for e, t in mapping.items()
         )
         results.append((f"pi{side}_feasible_at_target", feasible))
@@ -335,9 +361,12 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
     """Run the whole certification pipeline for one finished run.
 
     The checks trust the report's sides, so a log that is malformed or
-    does not replay to them raises CertificationError.  So does an optimal
-    set larger than p times `rank(constraint)`: that greedy base is within
-    a factor p of every base of a p-set system, so the stated p is wrong.
+    does not replay to them raises CertificationError, and so does a side
+    that is not independent: the checks replay each side's prefixes
+    through the constraint's states, which stand for those prefixes only
+    because the family is hereditary.  So does an optimal set larger than
+    p times `rank(constraint)`: that greedy base is within a factor p of
+    every base of a p-set system, so the stated p is wrong.
     """
     try:
         report.log.validate()
@@ -345,6 +374,9 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
         raise CertificationError(f"malformed insertion log: {exc}") from None
     if report.log.replay() != (report.s1, report.s2):
         raise CertificationError("the insertion log does not replay to the reported sides")
+    for side, mask in ((1, report.s1), (2, report.s2)):
+        if not constraint.is_independent(mask):
+            raise CertificationError(f"side {side} is not independent")
     base = rank(constraint, GroundSet(report.n))
     if optimal.bit_count() > p * base:
         raise CertificationError(f"the optimal set has {optimal.bit_count()} elements, more than "

@@ -2,8 +2,10 @@
 
 Covers uniform and partition matroids, the one-seed-per-node selection
 matroid used by the marketing application, and p-set systems formed by
-intersecting matroids.  All types implement the incremental can_add/add
-interface so solvers can test feasibility in O(1).
+intersecting matroids.  Each type states its family once, through the
+incremental empty_state/can_add/add interface, so solvers can test
+feasibility in O(1); `is_independent` folds a set through the same
+states.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ class UniformMatroid(IndependenceOracle):
         if k < 0:
             raise ContractViolation(f"uniform matroid needs k >= 0, got {k}")
         self.k = k
-
-    def _independent(self, mask):
-        return mask.bit_count() <= self.k
 
     def empty_state(self):
         return 0
@@ -47,14 +46,6 @@ class PartitionMatroid(IndependenceOracle):
         self.part_of = [index[p] for p in part_of]
         self.cap = cap
         self.h = len(index)
-
-    def _independent(self, mask):
-        counts = [0] * self.h
-        for e in members(mask):
-            counts[self.part_of[e]] += 1
-            if counts[self.part_of[e]] > self.cap:
-                return False
-        return True
 
     def empty_state(self):
         return [0] * self.h
@@ -86,17 +77,6 @@ class SeedMatroid(IndependenceOracle):
     def node_of(self, e: int) -> int:
         return e // self.m
 
-    def _independent(self, mask):
-        if mask.bit_count() > self.k:
-            return False
-        used = 0
-        for e in members(mask):
-            bit = 1 << self.node_of(e)
-            if used & bit:
-                return False
-            used |= bit
-        return True
-
     def empty_state(self):
         return (0, 0)  # (size, used-node mask)
 
@@ -121,9 +101,6 @@ class IntersectionSystem(IndependenceOracle):
         super().__init__(constituents[0].n)
         self.constituents = list(constituents)
         self.p = len(self.constituents)
-
-    def _independent(self, mask):
-        return all(c._independent(mask) for c in self.constituents)
 
     def empty_state(self):
         return tuple(c.empty_state() for c in self.constituents)

@@ -272,7 +272,7 @@ class ValueOracle:
 
     The sparse-path cut (`CutMonitorObjective` from `_SPARSE_MIN_NODES`
     nodes on) and `MarketingObjective` offer bases; the list-path cut,
-    `ModularObjective`, `CoverageObjective` and `CallableOracle` do not.
+    `ModularObjective` and `CallableOracle` do not.
     """
 
     def __init__(self):
@@ -337,12 +337,17 @@ class CallableOracle(ValueOracle):
 class IndependenceOracle:
     """Membership test for a hereditary independence family over 0..n-1.
 
-    Besides the set-wise `_independent`, a constraint implements the
-    incremental interface `empty_state()`, `_can_add(state, e)` and
-    `add(state, e)`, so solver inner loops test single-element
-    feasibility in O(1) amortized time instead of re-deriving structure
-    from the full set.  `is_independent` and `can_add` are the counted
-    entry points, and reject ids outside the ground set.
+    A constraint states its family once, incrementally: `empty_state()`
+    is the state of the empty set, `_can_add(state, e)` says whether the
+    set behind `state` plus an id e outside it is independent, and
+    `add(state, e)` returns the state of that larger set, leaving `state`
+    as it was.  So solver inner loops test single-element feasibility in
+    O(1) amortized time instead of re-deriving structure from the full
+    set.  `is_independent(mask)` adds the members of mask in ascending
+    order through these and is False at the first refusal; for a
+    hereditary family that is exactly the set-wise test.  `is_independent`
+    and `can_add` are the counted entry points, one check per call, and
+    reject ids outside the ground set.
     """
 
     def __init__(self, n: int):
@@ -353,10 +358,12 @@ class IndependenceOracle:
         if mask >> self.n:
             raise ContractViolation("set contains ids outside the ground set")
         self.check_count += 1
-        return self._independent(mask)
-
-    def _independent(self, mask: int) -> bool:
-        raise NotImplementedError
+        state = self.empty_state()
+        for e in members(mask):
+            if not self._can_add(state, e):
+                return False
+            state = self.add(state, e)
+        return True
 
     def can_add(self, state, e: int) -> bool:
         if not 0 <= e < self.n:
@@ -503,17 +510,6 @@ class RunReport:
 # certify's) allows for float rounding: sums of logged gains and fresh
 # evaluations of one quantity may differ by ulps.
 TOL = 1e-9
-
-
-def marginal_gain(oracle: ValueOracle, base_value: float, base: int, e: int) -> float:
-    """Gain of adding e to `base`, given the cached value of `base`.
-
-    Costs exactly one oracle query.  The caller is responsible for
-    `base_value == oracle.evaluate(base)`.
-    """
-    if (base >> e) & 1:
-        raise ContractViolation(f"element {e} already in the base set")
-    return oracle.evaluate(base | (1 << e)) - base_value
 
 
 def submodularity_check(oracle: ValueOracle, ground: GroundSet, trials: int = 200,

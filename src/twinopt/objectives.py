@@ -2,7 +2,8 @@
 
 The monitoring objective is a weighted cut, the marketing objective is
 reverse-reachable-set influence estimation plus budget savings, and the
-modular/coverage objectives are synthetic fixtures for tests.
+modular objective is a synthetic fixture (the monotone coverage fixture
+is in tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -41,9 +42,14 @@ class WeightedGraph:
         """Check every edge against `_edges_ok` in one NumPy pass and return
         the m x 3 float64 array of rows (u, v, w) it checked.  A bad edge
         raises ContractViolation naming the first one: `has an id outside
-        0..n-1` when an id is out of range, else `has bad weight w`."""
+        0..n-1` when an id is out of range, else `has bad weight w`.  An
+        int past float64's range is bad too, as an id or a weight."""
         m = len(self.edges)
-        cells = np.fromiter(chain.from_iterable(self.edges), np.float64, 3 * m).reshape(m, 3)
+        try:
+            cells = np.fromiter(chain.from_iterable(self.edges), np.float64, 3 * m)
+        except OverflowError:  # read such an int as NaN, which the rule rejects
+            cells = np.fromiter(map(_float_or_nan, chain.from_iterable(self.edges)), np.float64)
+        cells = cells.reshape(m, 3)
         bad = np.flatnonzero(~_edges_ok(*cells.T, self.n_nodes))
         if len(bad):
             u, v, w = self.edges[bad[0]]
@@ -70,6 +76,13 @@ class WeightedGraph:
 def save_edge_list(path, graph: WeightedGraph) -> None:
     """Write `u v w` lines (the header comment records n and direction)."""
     write_rows(path, graph.edges, {"nodes": graph.n_nodes, "directed": int(graph.directed)})
+
+
+def _float_or_nan(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.nan
 
 
 def _edges_ok(u, v, w, n):
@@ -405,25 +418,6 @@ class ModularObjective(ValueOracle):
 
     def _value(self, mask: int) -> float:
         return left_sum(self.weights[e] for e in members(mask))
-
-
-class CoverageObjective(ValueOracle):
-    """Weighted coverage: f(S) is the total weight of items covered by S.
-
-    Monotone and submodular; used as the monotone fixture in tests.
-    """
-
-    def __init__(self, item_weights, covers):
-        super().__init__()
-        self.item_weights = [float(w) for w in item_weights]
-        self.covers = list(covers)
-        self.n = len(self.covers)
-
-    def _value(self, mask: int) -> float:
-        covered = 0
-        for e in members(mask):
-            covered |= self.covers[e]
-        return left_sum(self.item_weights[i] for i in members(covered))
 
 
 def load_costs(path) -> list[float]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
@@ -9,6 +10,7 @@ from collections import deque
 import numpy as np
 
 import twinopt as t
+from twinopt.core import left_sum
 
 
 def cut_instance(n, seed, p_edge=0.5, h=2, cap=2):
@@ -24,6 +26,30 @@ def cut_instance(n, seed, p_edge=0.5, h=2, cap=2):
         return t.PartitionMatroid(parts, cap)
 
     return graph, ground, oracle, constraint
+
+
+@functools.cache
+def criterion_8():
+    """The criterion-8 instance (ER n=1000, p=0.1, uniform weights, five
+    parts of cap 50) and its runs by CLI name: twinfast (epsilon 0.1),
+    sample greedy (q 0.5, seed 7), twin and classic greedy.  Returns the
+    graph, the ground set, a constraint factory and the runs; the runs
+    take seconds, so they are made once per test run."""
+    graph = t.assign_weights_uniform(t.gen_er(1000, 0.1, 42), 0.0, 1.0, 43)
+    ground = t.GroundSet(1000)
+    parts = t.assign_groups(1000, 5, 44)
+
+    def constraint():
+        return t.PartitionMatroid(parts, 50)
+
+    runs = {
+        "twinfast": t.twin_greedy_fast(t.CutMonitorObjective(graph), constraint(), ground, 0.1),
+        "samplegreedy": t.sample_greedy(t.CutMonitorObjective(graph), constraint(), ground,
+                                        q=0.5, seed=7),
+        "twin": t.twin_greedy(t.CutMonitorObjective(graph), constraint(), ground),
+        "greedy": t.classic_greedy(t.CutMonitorObjective(graph), constraint(), ground),
+    }
+    return graph, ground, constraint, runs
 
 
 def cut_instance_dyadic(n, seed, p_edge=0.5, h=2, cap=2, p=1):
@@ -67,6 +93,25 @@ def psystem_instance(n, seed, p=2, p_edge=0.5, h=2, cap=2):
     return graph, ground, oracle, constraint
 
 
+class CoverageObjective(t.ValueOracle):
+    """Weighted coverage: f(S) is the total weight of items covered by S.
+
+    Monotone and submodular; the monotone fixture of the tests.
+    """
+
+    def __init__(self, item_weights, covers):
+        super().__init__()
+        self.item_weights = [float(w) for w in item_weights]
+        self.covers = list(covers)
+        self.n = len(self.covers)
+
+    def _value(self, mask: int) -> float:
+        covered = 0
+        for e in t.members(mask):
+            covered |= self.covers[e]
+        return left_sum(self.item_weights[i] for i in t.members(covered))
+
+
 def coverage_instance(n, seed, universe=14):
     """Random monotone coverage objective with a uniform matroid."""
     rng = random.Random(seed)
@@ -76,12 +121,32 @@ def coverage_instance(n, seed, universe=14):
     k = rng.randint(2, 4)
 
     def oracle():
-        return t.CoverageObjective(weights, covers)
+        return CoverageObjective(weights, covers)
 
     def constraint():
         return t.UniformMatroid(n, k)
 
     return ground, oracle, constraint
+
+
+def independent_by_definition(constraint, mask):
+    """Whether `mask` is independent under `constraint`, by the textbook
+    definition of its type applied to the whole set: the reference the
+    incremental states are checked against."""
+    ids = t.members(mask)
+    if isinstance(constraint, t.UniformMatroid):
+        return len(ids) <= constraint.k
+    if isinstance(constraint, t.PartitionMatroid):
+        counts = [0] * constraint.h
+        for e in ids:
+            counts[constraint.part_of[e]] += 1
+        return max(counts, default=0) <= constraint.cap
+    if isinstance(constraint, t.SeedMatroid):
+        nodes = [e // constraint.m for e in ids]
+        return len(ids) <= constraint.k and len(set(nodes)) == len(nodes)
+    if isinstance(constraint, t.IntersectionSystem):
+        return all(independent_by_definition(c, mask) for c in constraint.constituents)
+    raise TypeError(f"no reference for {type(constraint).__name__}")
 
 
 def log_report(n, entries):
@@ -108,12 +173,16 @@ def fast_budget(n, r, eps):
 def edge_loop_validate(graph):
     """`WeightedGraph.validate` as a loop over the edges, the reference for
     its NumPy pass: the first edge with an id outside 0..n-1 or a weight
-    that is not finite and >= 0 raises, its ids checked first."""
+    that is not a finite float64 >= 0 raises, its ids checked first."""
     n = graph.n_nodes
     for u, v, w in graph.edges:
         if not (0 <= u < n and 0 <= v < n):
             raise t.ContractViolation(f"edge ({u},{v}) has an id outside 0..{n - 1}")
-        if not (math.isfinite(w) and w >= 0):
+        try:
+            weight_ok = math.isfinite(w) and w >= 0
+        except OverflowError:  # an int past float64's range
+            weight_ok = False
+        if not weight_ok:
             raise t.ContractViolation(f"edge ({u},{v}) has bad weight {w}")
 
 

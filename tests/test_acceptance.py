@@ -180,19 +180,10 @@ def test_criterion_07_structure_validators():
 
 def test_criterion_08_efficiency_trend():
     t0 = time.perf_counter()
-    graph = t.assign_weights_uniform(t.gen_er(1000, 0.1, 42), 0.0, 1.0, 43)
-    ground = t.GroundSet(1000)
-    parts = t.assign_groups(1000, 5, 44)
-
-    def constraint():
-        return t.PartitionMatroid(parts, 50)
-
+    _, ground, constraint, runs = helpers.criterion_8()
     assert t.rank(constraint(), ground) >= 250
-    fast = t.twin_greedy_fast(t.CutMonitorObjective(graph), constraint(), ground, 0.1)
-    sample = t.sample_greedy(t.CutMonitorObjective(graph), constraint(), ground,
-                             q=0.5, seed=7)
-    twin = t.twin_greedy(t.CutMonitorObjective(graph), constraint(), ground)
-    greedy = t.classic_greedy(t.CutMonitorObjective(graph), constraint(), ground)
+    fast, sample, twin, greedy = (runs[name] for name in
+                                  ("twinfast", "samplegreedy", "twin", "greedy"))
     _REPORTS.append((1000, fast))
     _REPORTS.append((1000, twin))
     elapsed = time.perf_counter() - t0

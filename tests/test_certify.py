@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -132,6 +134,17 @@ def test_pi_structural_properties_hold():
         assert all(ok for _, ok in results), results
 
 
+def test_pi_feasibility_holds_for_an_element_already_in_the_prefix():
+    # e = 0 lies in the prefix {0} of its target 1; that prefix is
+    # independent, so e is feasible there although the state of {0} cannot
+    # take 0 again (part 0 is full)
+    report = helpers.log_report(3, [(0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0)])
+    pi = t.PiMapping(pi1={0: 1}, pi2={})
+    results = dict(check_pi_properties(report, t.ClassifiedOptimal(o1_plus=0b1), pi,
+                                       t.PartitionMatroid([0, 1, 0], cap=1)))
+    assert results["pi1_feasible_at_target"] and results["pi2_feasible_at_target"]
+
+
 def test_gain_bounds_trivial_when_optimal_empty():
     constraint = t.UniformMatroid(2, 1)
     f = t.ModularObjective([1.0, 1.0])
@@ -263,6 +276,39 @@ def test_certify_run_rejects_an_optimal_set_larger_than_p_times_rank():
     with pytest.raises(t.CertificationError, match="p \\* rank = 1 \\* 1"):
         t.certify_run(f, c, report, 0b110, 2.0, p=1)
     assert t.certify_run(f, c, report, 0b110, 2.0, p=2).ok
+
+
+def test_certify_run_rejects_a_side_that_is_not_independent():
+    # side 1 = {0, 1} puts two elements into part 0 of cap 1; the values
+    # alone would certify this report
+    c = t.PartitionMatroid([0, 0, 1, 1], cap=1)
+    report = helpers.log_report(4, [(0, 1, 1.0), (2, 2, 1.0), (1, 1, 1.0)])
+    f = t.ModularObjective([1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(t.CertificationError, match="side 1 is not independent"):
+        t.certify_run(f, c, report, 0b0101, 2.0)
+
+
+# sha256 of each certificate's `to_dict()` as sorted JSON, as the set-wise
+# certifier gave them: the criterion-8 twin and twinfast runs against the
+# classic and sample greedy solutions as witness sets O
+CRITERION_8_CERTIFICATE_SHA256 = {
+    ("twin", "greedy"): "181d5b6f14aec6140817f4155c5450784bd53b71aef4340b7b696d3c45b0060d",
+    ("twin", "samplegreedy"): "d58dccbad49e3094cbdb276d5b5fefbbb4ed53280544ed3f7f29d2a17cdee9db",
+    ("twinfast", "greedy"): "71bbcc918714ed613a745d66e095b1ae2645f268f230c61e4295ab8c7f8a4ec8",
+    ("twinfast", "samplegreedy"):
+        "8fe35411aebb523c7e93d44b5016c94c6e7ff214def4c85aa6e6947687a91c44",
+}
+
+
+@pytest.mark.parametrize("solver,witness", CRITERION_8_CERTIFICATE_SHA256)
+def test_certify_criterion_8_against_greedy_witnesses(solver, witness):
+    graph, _, constraint, runs = helpers.criterion_8()
+    o = runs[witness]
+    cert = t.certify_run(t.CutMonitorObjective(graph), constraint(), runs[solver], o.s_star,
+                         o.f_star)
+    assert cert.ok
+    digest = hashlib.sha256(json.dumps(cert.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == CRITERION_8_CERTIFICATE_SHA256[solver, witness]
 
 
 def _drop_first(log):

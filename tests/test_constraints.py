@@ -14,6 +14,8 @@ from twinopt.constraints import (
     save_partition,
 )
 
+import helpers
+
 
 def test_uniform_matroid_cardinality_rule():
     m = t.UniformMatroid(5, 2)
@@ -139,19 +141,58 @@ def test_intersection_p1_matches_constituent():
         assert single.is_independent(mask) == inter.is_independent(mask)
 
 
-@settings(max_examples=60)
-@given(st.integers(0, (1 << 12) - 1))
-def test_incremental_can_add_matches_setwise(mask):
-    constraint = t.SeedMatroid(4, 3, 3)
-    state = constraint.empty_state()
-    built = 0
-    for e in t.members(mask):
-        if constraint._independent(built | (1 << e)):
-            assert constraint.can_add(state, e)
+# one of each type, and intersections of mixed types, on at most 12 ids
+REFERENCE_CASES = {
+    "uniform": t.UniformMatroid(12, 5),
+    "uniform-k0": t.UniformMatroid(7, 0),
+    "partition": t.PartitionMatroid(t.assign_groups(12, 3, 4), 2),
+    "partition-cap0": t.PartitionMatroid([0, 1, 1, 0, 2, 1, 0, 2], 0),
+    "seed": t.SeedMatroid(4, 3, 3),
+    "seed-one-product": t.SeedMatroid(12, 1, 4),
+    "intersection": t.IntersectionSystem([t.PartitionMatroid(t.assign_groups(12, 3, 5), 2),
+                                          t.PartitionMatroid(t.assign_groups(12, 2, 6), 3)]),
+    "intersection-mixed": t.IntersectionSystem([t.SeedMatroid(6, 2, 5), t.UniformMatroid(12, 3),
+                                                t.PartitionMatroid(t.assign_groups(12, 4, 7), 1)]),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_is_independent_matches_the_definition_on_every_mask(name):
+    constraint = REFERENCE_CASES[name]
+    checks = constraint.check_count
+    for mask in range(1 << constraint.n):
+        assert constraint.is_independent(mask) == helpers.independent_by_definition(constraint, mask)
+    assert constraint.check_count == checks + (1 << constraint.n)  # one counted check each
+
+
+@st.composite
+def constraints_on(draw, n, intersect=True):
+    """A constraint of any type over the ids 0..n-1."""
+    kind = draw(st.sampled_from(["uniform", "partition", "seed"] + ["intersection"] * intersect))
+    if kind == "uniform":
+        return t.UniformMatroid(n, draw(st.integers(0, n + 1)))
+    if kind == "partition":
+        parts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        return t.PartitionMatroid(parts, draw(st.integers(0, 3)))
+    if kind == "seed":
+        m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0] or [1]))
+        return t.SeedMatroid(n // m, m, draw(st.integers(0, n + 1)))
+    return t.IntersectionSystem(draw(st.lists(constraints_on(n, False), min_size=1, max_size=3)))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_can_add_matches_the_definition_along_insertion_orders(data):
+    n = data.draw(st.integers(0, 12))
+    constraint = data.draw(constraints_on(n))
+    state, built = constraint.empty_state(), 0
+    for e in data.draw(st.permutations(range(n))):
+        fits = helpers.independent_by_definition(constraint, built | 1 << e)
+        assert constraint.can_add(state, e) == fits
+        if fits:
             state = constraint.add(state, e)
             built |= 1 << e
-        else:
-            assert not constraint.can_add(state, e)
+    assert constraint.is_independent(built)
 
 
 def test_partition_file_round_trip(tmp_path):

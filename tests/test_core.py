@@ -23,43 +23,6 @@ def test_mask_algebra_inclusion_exclusion(a_ids, b_ids):
     assert set(t.members(a)) == a_ids
 
 
-def test_marginal_gain_modular_from_empty():
-    f = t.ModularObjective([3.0, 2.0, 1.0])
-    assert t.marginal_gain(f, 0.0, 0, 0) == 3.0
-
-
-def test_marginal_gain_cut_edge_leaves():
-    graph = t.WeightedGraph(2, [(0, 1, 1.0)])
-    f = t.CutMonitorObjective(graph)
-    base_value = f.evaluate(1)  # f({0}) = 1
-    assert t.marginal_gain(f, base_value, 1, 1) == -1.0
-
-
-def test_marginal_gain_matches_double_evaluation():
-    graph, ground, oracle, _ = helpers.cut_instance(6, seed=5)
-    f = oracle()
-    ref = oracle()
-    for mask, e in [(0b000101, 1), (0b110000, 0), (0, 3)]:
-        base_value = f.evaluate(mask)
-        gain = t.marginal_gain(f, base_value, mask, e)
-        assert gain == pytest.approx(
-            ref.evaluate(mask | (1 << e)) - ref.evaluate(mask), abs=1e-12)
-
-
-def test_marginal_gain_rejects_member_element():
-    f = t.ModularObjective([1.0, 1.0])
-    with pytest.raises(t.ContractViolation):
-        t.marginal_gain(f, 1.0, 0b01, 0)
-
-
-def test_marginal_gain_costs_one_query():
-    f = t.ModularObjective([1.0, 2.0])
-    base_value = f.evaluate(0)
-    before = f.query_count
-    t.marginal_gain(f, base_value, 0, 1)
-    assert f.query_count == before + 1
-
-
 def test_query_counter_increments_once_per_evaluate():
     f = CallableOracle(lambda mask: float(mask.bit_count()))
     for expected in range(1, 6):

@@ -114,9 +114,10 @@ def test_sparse_cut_adjacency_equals_the_edge_loop(case):
 
 def _bad_edges(n):
     """Edges that break the rule on n nodes: an id out of range on either
-    end or both, a weight negative, NaN or infinite, and both at once."""
+    end or both, a weight negative, NaN or infinite, both at once, and an
+    id or a weight that is an int past float64's range."""
     return [(0, n, 1.0), (-1, 0, 1.0), (n + 7, -3, 0.0), (0, 1, -0.5), (1, 0, float("nan")),
-            (2, 2, float("inf")), (n, 0, -1.0)]
+            (2, 2, float("inf")), (n, 0, -1.0), (0, 10**400, 0.5), (0, 1, 10**400)]
 
 
 def _with_bad_edges(data, n, edges, min_size):
@@ -318,7 +319,8 @@ def test_based_cut_query_rejects_ids_past_the_nodes(case):
 
 def test_only_the_sparse_cut_and_marketing_offer_a_base():
     small = t.CutMonitorObjective(t.WeightedGraph(5, [(0, 1, 1.0)]))
-    oracles = [small, t.ModularObjective([1.0, -2.0]), t.CoverageObjective([1.0], [0b1, 0b0])]
+    oracles = [small, t.ModularObjective([1.0, -2.0]),
+               helpers.CoverageObjective([1.0], [0b1, 0b0])]
     for f in oracles:
         assert f.base(0) is None and f.base(0b1, f.base(0)) is None
         assert f.evaluate(0b1, None) == f.evaluate(0b1)
@@ -538,8 +540,8 @@ def contract_cases(draw, kind):
     else:
         items = draw(st.integers(1, 12))
         covers = draw(st.lists(st.integers(0, (1 << items) - 1), min_size=1, max_size=70))
-        f = t.CoverageObjective(draw(st.lists(st.floats(0, 5), min_size=items, max_size=items)),
-                                covers)
+        weights = draw(st.lists(st.floats(0, 5), min_size=items, max_size=items))
+        f = helpers.CoverageObjective(weights, covers)
     e = draw(st.integers(0, f.n - 1))
     return f, draw(st.integers(0, (1 << f.n) - 1)) & ~(1 << e), e
 
@@ -636,7 +638,7 @@ def test_modular_objective_sums_weights():
 def test_modular_sum_is_left_to_right():
     # sum() compensates from Python 3.12 on and would give 1.0 here
     assert t.ModularObjective([1e16, 1.0, -1e16]).evaluate(0b111) == 0.0
-    assert t.CoverageObjective([1e16, 1.0, -1e16], [0b1, 0b10, 0b100]).evaluate(0b111) == 0.0
+    assert helpers.CoverageObjective([1e16, 1.0, -1e16], [0b1, 0b10, 0b100]).evaluate(0b111) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -646,7 +648,7 @@ def test_modular_objective_rejects_non_finite_weights(bad):
 
 
 def test_coverage_objective_counts_union_once():
-    f = t.CoverageObjective([1.0, 2.0, 4.0], covers=[0b011, 0b110])
+    f = helpers.CoverageObjective([1.0, 2.0, 4.0], covers=[0b011, 0b110])
     assert f.evaluate(0b01) == 3.0
     assert f.evaluate(0b11) == 7.0
 
@@ -790,6 +792,10 @@ def test_graph_validate_rejects_bad_edges():
         t.WeightedGraph(2, [(0, 5, 1.0)]).validate()
     with pytest.raises(t.ContractViolation):
         t.WeightedGraph(2, [(0, 1, -1.0)]).validate()
+    with pytest.raises(t.ContractViolation, match="has an id outside 0..2"):
+        t.WeightedGraph(3, [(0, 1, 0.5), (0, 10**400, 0.5)]).validate()
+    with pytest.raises(t.ContractViolation, match="has bad weight 1000"):
+        t.WeightedGraph(3, [(0, 1, 0.5), (0, 1, 10**400)]).validate()
 
 
 # ---------------------------------------------------------------------------
