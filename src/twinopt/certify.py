@@ -194,7 +194,8 @@ def check_pi_properties(report: RunReport, classes: ClassifiedOptimal, pi: PiMap
                         constraint, p: int = 1) -> list[tuple[str, bool]]:
     """Verify domain coverage, feasibility at the target's moment, identity
     on the prescribed subsets, and the preimage cap.  An e already in the
-    target's prefix is feasible there, as that prefix is independent."""
+    target's prefix is feasible there, as that prefix is independent; a
+    target outside the side has no moment, so e is not feasible there."""
     pre = report.log.pre_masks()
     states, before = _replay(report, constraint)
     results = []
@@ -203,9 +204,10 @@ def check_pi_properties(report: RunReport, classes: ClassifiedOptimal, pi: PiMap
         results.append((f"pi{side}_targets", all((side_mask >> t) & 1 for t in mapping.values())))
         results.append((f"pi{side}_identity", all(
             mapping.get(e) == e for e in members(classes.identities[side - 1]))))
+        prefixes = states[side - 1]
         feasible = all(
-            (pre[t][side - 1] >> e) & 1
-            or constraint.can_add(states[side - 1][before[t][side - 1]], e)
+            (side_mask >> t) & 1
+            and ((pre[t][side - 1] >> e) & 1 or constraint.can_add(prefixes[before[t][side - 1]], e))
             for e, t in mapping.items()
         )
         results.append((f"pi{side}_feasible_at_target", feasible))
@@ -267,13 +269,15 @@ def check_residuals(f: ValueOracle, report: RunReport,
 
 
 def check_log_gains(f: ValueOracle, log: InsertionLog):
-    """Replay every insertion and compare the recorded gain."""
+    """Replay every insertion and compare the recorded gain; a NaN
+    difference is the worst and fails."""
     pre = log.pre_masks()
     worst = 0.0
     for ent in log.entries:
         base = pre[ent.element][ent.side - 1]
         recomputed = f.evaluate(base | (1 << ent.element)) - f.evaluate(base)
-        worst = max(worst, abs(recomputed - ent.gain))
+        diff = abs(recomputed - ent.gain)
+        worst = max(worst, diff) if diff == diff else diff  # max keeps a NaN worst
     return InequalityRecord("log_gain_replay", worst, 0.0, worst <= TOL)
 
 
@@ -360,7 +364,8 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
                 optimal_value: float, p: int = 1) -> CertificationReport:
     """Run the whole certification pipeline for one finished run.
 
-    The checks trust the report's sides, so a log that is malformed or
+    The checks trust the report's sides, so a log that `InsertionLog.validate`
+    rejects (an id outside 0..n-1 and a non-finite gain included) or that
     does not replay to them raises CertificationError, and so does a side
     that is not independent: the checks replay each side's prefixes
     through the constraint's states, which stand for those prefixes only
@@ -369,7 +374,7 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
     every base of a p-set system, so the stated p is wrong.
     """
     try:
-        report.log.validate()
+        report.log.validate(report.n)
     except ContractViolation as exc:
         raise CertificationError(f"malformed insertion log: {exc}") from None
     if report.log.replay() != (report.s1, report.s2):

@@ -17,8 +17,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import certify as certify_mod
 from . import constraints as cons
 from . import generators as gen
@@ -118,15 +116,15 @@ def parse_constraint_spec(spec: str, n: int):
 
 def _weight_row(fields, header):
     w = float(*fields)
-    if not math.isfinite(w):
-        raise ContractViolation(f"weight {w} must be finite")
+    if not 0.0 <= w < math.inf:
+        raise ContractViolation(f"weight {w} must be finite and >= 0")
     return (w,)
 
 
 def _load_modular_weights(path):
-    """One finite weight per line."""
+    """One finite weight >= 0 per line."""
     rows = read_fixed_rows(path, "weight", _weight_row, (float,),
-                           lambda header, w: bool(np.isfinite(w).all()))[1]
+                           lambda header, w: bool(((0.0 <= w) & (w < math.inf)).all()))[1]
     return [w for w, in rows]
 
 

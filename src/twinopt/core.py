@@ -7,6 +7,7 @@ expressions and makes the solver inner loops allocation-free.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import warnings
@@ -249,7 +250,17 @@ class ValueOracle:
     against a caller-cached base value costs exactly one query.  Oracles
     hold no value caches of their own; solvers own theirs, which keeps the
     query count attributable to the algorithm under test.  A set holding
-    an id at or past n is rejected with ContractViolation.
+    an id at or past n is rejected with ContractViolation; an oracle whose
+    n is None states no ground size and takes any id.
+
+    The value rule: the approximation guarantees are for non-negative
+    submodular f, so every answer, from `_value` or `_value_plus`, must
+    satisfy 0 <= value < inf.  `evaluate` checks that one comparison and
+    raises ContractViolation naming the set and the value for a NaN, an
+    infinite or a negative one; the query still counts.  Every solver,
+    `exact_max`, `certify_run` and `submodularity_check` read values only
+    through `evaluate`, so none of them sees a value outside the rule and
+    every gain they take is finite.
 
     A solver that grows a set S one element at a time may ask for a
     `base(S)` and pass it to `evaluate(S | 1 << e, base)`.  A base holds
@@ -272,7 +283,8 @@ class ValueOracle:
 
     The sparse-path cut (`CutMonitorObjective` from `_SPARSE_MIN_NODES`
     nodes on) and `MarketingObjective` offer bases; the list-path cut,
-    `ModularObjective` and `CallableOracle` do not.
+    `ModularObjective` and `CallableOracle` do not.  `CallableOracle`
+    follows the same contract, the value rule included.
     """
 
     def __init__(self):
@@ -280,24 +292,21 @@ class ValueOracle:
 
     def evaluate(self, mask: int, base=None) -> float:
         self.query_count += 1
-        if base is not None:
-            e = _added(base.mask, mask, self.n)
-            if e >= 0:
-                return self._value_plus(base, e)
-        if mask >> self.n:
+        e = -1 if base is None else _added(base.mask, mask, self.n)
+        if e < 0 and self.n is not None and mask >> self.n:
             raise ContractViolation(f"set holds ids at or past the ground size {self.n}")
-        return self._value(mask)
+        value = self._value_plus(base, e) if e >= 0 else self._value(mask)
+        if 0.0 <= value < math.inf:
+            return value
+        raise ContractViolation(f"f({members(mask)}) is {value}: a value must be finite and >= 0")
 
     def base(self, mask: int, prev=None):
         """An opaque base for the set `mask`, or None.  `prev` may be the
         base of `mask` minus one element, to build this one from."""
-        if mask >> self.n:
+        if self.n is not None and mask >> self.n:
             raise ContractViolation(f"set holds ids at or past the ground size {self.n}")
-        if prev is not None:
-            e = _added(prev.mask, mask, self.n)
-            if e >= 0:
-                return self._grow(prev, e)
-        return self._new_base(mask)
+        e = -1 if prev is None else _added(prev.mask, mask, self.n)
+        return self._grow(prev, e) if e >= 0 else self._new_base(mask)
 
     def _value(self, mask: int) -> float:
         raise NotImplementedError
@@ -326,12 +335,8 @@ class CallableOracle(ValueOracle):
         super().__init__()
         self._fn = fn
 
-    def evaluate(self, mask: int, base=None) -> float:
-        self.query_count += 1
+    def _value(self, mask: int) -> float:
         return float(self._fn(mask))
-
-    def base(self, mask: int, prev=None):
-        return None
 
 
 class IndependenceOracle:
@@ -441,13 +446,20 @@ class InsertionLog:
     def gains(self) -> dict[int, float]:
         return {ent.element: ent.gain for ent in self.entries}
 
-    def validate(self):
+    def validate(self, n: int):
+        """Raise ContractViolation unless positions run 0, 1, ..., each side
+        is 1 or 2, each element is an id in 0..n-1 inserted once and each
+        gain is finite."""
         seen = 0
         for pos, ent in enumerate(self.entries):
             if ent.position != pos:
                 raise ContractViolation("log positions must be consecutive from 0")
             if ent.side not in (1, 2):
                 raise ContractViolation(f"bad side {ent.side}")
+            if not 0 <= ent.element < n:
+                raise ContractViolation(f"element {ent.element} outside the ground set of size {n}")
+            if not math.isfinite(ent.gain):
+                raise ContractViolation(f"element {ent.element} has gain {ent.gain}")
             if (seen >> ent.element) & 1:
                 raise ContractViolation(f"element {ent.element} inserted twice")
             seen |= 1 << ent.element

@@ -406,14 +406,13 @@ def _cover_index(sets: list[int], n_nodes: int) -> list[int]:
 
 
 class ModularObjective(ValueOracle):
-    """f(S) = sum of per-element weights; weights may be negative, not NaN
-    or infinite."""
+    """f(S) = sum of per-element weights, each finite and >= 0."""
 
     def __init__(self, weights):
         super().__init__()
         self.weights = [float(w) for w in weights]
-        if not all(map(math.isfinite, self.weights)):
-            raise ContractViolation("modular weights must be finite")
+        if not all(0.0 <= w < math.inf for w in self.weights):
+            raise ContractViolation("modular weights must be finite and >= 0")
         self.n = len(self.weights)
 
     def _value(self, mask: int) -> float:

@@ -28,7 +28,11 @@ counts do not depend on whether an oracle offers bases, and the two
 sides may start from one shared base of the empty set.
 
 Every solver and `exact_max` first check that the ground set, the
-constraint and the oracle state one size.
+constraint and the oracle state one size.  They read values only through
+`ValueOracle.evaluate`, whose value rule (0 <= value < inf) rejects a
+NaN, infinite or negative value with one ContractViolation wherever it
+appears, so every gain and cached bound here is finite or, for an
+infeasible pair, -inf, and compares totally.
 """
 
 from __future__ import annotations
@@ -64,16 +68,11 @@ def _start(f: ValueOracle, constraint: IndependenceOracle) -> tuple[float, int, 
 
 def _empty_value(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet) -> float:
     """f(empty), one query, once the ground set, the constraint and the
-    oracle are seen to state one size (`CallableOracle` states none).
-    Every solver starts from it, and a NaN there would leave no gain or
-    side value to compare, so it is rejected."""
+    oracle are seen to state one size (`CallableOracle` states none)."""
     if not ground.n == constraint.n == (ground.n if f.n is None else f.n):
         raise ContractViolation(f"ground set, constraint and oracle sizes differ: "
                                 f"{ground.n}, {constraint.n} and {f.n}")
-    value = f.evaluate(0)
-    if math.isnan(value):
-        raise ContractViolation("f(empty) is NaN")
-    return value
+    return f.evaluate(0)
 
 
 def _report(algorithm, ground, parameters, s, fval, log, f, constraint, start) -> RunReport:
@@ -170,11 +169,13 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     the insertion sequence is identical to the unskipped scan.
 
     Only its own scan changes an element's bounds, so it waits in the list
-    of the first pass whose bar tau_max/(1+epsilon)**j its larger non-NaN
-    bound reaches; pass j scans that list in id order, just the elements a
+    of the first pass whose bar tau_max/(1+epsilon)**j its larger bound
+    reaches; pass j scans that list in id order, just the elements a
     pass-by-pass loop would find clearing the bar.  Passes, tau_min, the
     log and the query and check counts are that loop's; empty passes cost
-    nothing.
+    nothing.  tau_max is finite by the `ValueOracle` value rule, so a
+    positive one leaves at least one pass; with no positive singleton the
+    run inserts nothing and reports no pass.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
@@ -192,10 +193,9 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     for e in range(n):
         if constraint.can_add(states[0], e):
             singleton[e] = f.evaluate(1 << e, bases[0])
-    # any NaN singleton makes tau_max NaN, wherever it stands
-    tau_max = math.nan if any(map(math.isnan, singleton)) else float(max(singleton, default=-math.inf))
-    params["tau_max"] = None if math.isinf(tau_max) else tau_max
-    if not tau_max > 0.0:
+    tau_max = float(max(singleton, default=-math.inf))  # -inf: no feasible singleton
+    params["tau_max"] = None if tau_max < 0.0 else tau_max
+    if tau_max <= 0.0:
         params.update(passes=0, tau_min=None, rank=None)
         return _report("twin_greedy_fast", ground, params, s, fval, log, f, constraint, start)
 
@@ -213,7 +213,7 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     bounds = [[v - f_empty for v in singleton] for _ in (0, 1)]
     due = [[] for _ in neg]  # due[j]: the elements pass j scans
     for e, top in enumerate(bounds[0]):
-        if neg and top >= tau_min:  # an infinite tau_max leaves no pass
+        if top >= tau_min:
             due[bisect_left(neg, -top)].append(e)
 
     for j, waiting in enumerate(due):
@@ -239,8 +239,7 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
                 bases[best_side] = f.base(s[best_side], bases[best_side])
                 continue
             # both bounds are below tau: wait for the next bar the larger reaches
-            b0, b1 = bounds[0][e], bounds[1][e]
-            top = b0 if b0 >= b1 or b1 != b1 else b1
+            top = max(bounds[0][e], bounds[1][e])
             if top >= tau_min:
                 due[bisect_left(neg, -top, j + 1)].append(e)
 

@@ -145,6 +145,15 @@ def test_pi_feasibility_holds_for_an_element_already_in_the_prefix():
     assert results["pi1_feasible_at_target"] and results["pi2_feasible_at_target"]
 
 
+def test_pi_target_outside_its_side_is_reported_not_raised():
+    # target 1 is on neither side: it has no insertion moment to be feasible at
+    report = helpers.log_report(4, [(0, 1, 1.0), (2, 2, 1.0)])
+    results = dict(check_pi_properties(report, t.ClassifiedOptimal(o3=0b1000),
+                                       t.PiMapping(pi1={3: 1}), t.UniformMatroid(4, 2)))
+    assert not results["pi1_targets"] and not results["pi1_feasible_at_target"]
+    assert results["pi1_domain"] and results["pi2_targets"]
+
+
 def test_gain_bounds_trivial_when_optimal_empty():
     constraint = t.UniformMatroid(2, 1)
     f = t.ModularObjective([1.0, 1.0])
@@ -324,8 +333,18 @@ def _insert_twice(log):
     log.append(first.element, 3 - first.side, first.gain)  # now on both sides
 
 
-@pytest.mark.parametrize("corrupt", [_drop_first, _drop_last, _insert_twice],
-                         ids=["entry-dropped-first", "entry-dropped-last", "inserted-twice"])
+def _id_below_zero(log):
+    log.entries[-1].element = -1
+
+
+def _gain_nan(log):
+    log.entries[-1].gain = float("nan")
+
+
+@pytest.mark.parametrize("corrupt", [_drop_first, _drop_last, _insert_twice, _id_below_zero,
+                                     _gain_nan],
+                         ids=["entry-dropped-first", "entry-dropped-last", "inserted-twice",
+                              "id-below-zero", "gain-nan"])
 def test_certify_run_rejects_a_log_that_does_not_replay(corrupt):
     graph, ground, oracle, constraint = helpers.cut_instance(8, seed=19200)
     f, c = oracle(), constraint()
@@ -337,15 +356,27 @@ def test_certify_run_rejects_a_log_that_does_not_replay(corrupt):
             t.certify_run(f, c, report, opt.solution, opt.value)
 
 
+def test_certify_run_rejects_a_log_id_past_n():
+    # the sides replay from the log, so only the id check stands before is_independent
+    report = helpers.log_report(8, [(0, 1, 1.0), (50, 2, 1.0)])
+    with pytest.raises(t.CertificationError,
+                       match="malformed insertion log: element 50 outside the ground set of size 8"):
+        t.certify_run(t.ModularObjective([1.0] * 8), t.UniformMatroid(8, 2), report, 0b1, 1.0)
+
+
 def test_log_gain_replay_check():
     graph, ground, oracle, constraint = helpers.cut_instance(8, seed=19000)
     f = oracle()
     report = t.twin_greedy(f, constraint(), ground)
     record = check_log_gains(f, report.log)
     assert record.holds
-    if report.log.entries:
-        report.log.entries[0].gain += 1.0
-        assert not check_log_gains(f, report.log).holds
+    assert report.log.entries
+    first = report.log.entries[0]
+    first.gain += 1.0
+    assert not check_log_gains(f, report.log).holds
+    first.gain = float("nan")  # a NaN difference is the worst, not one that max() skips
+    record = check_log_gains(f, report.log)
+    assert record.lhs != record.lhs and not record.holds
 
 
 def test_certification_report_serializes():

@@ -548,8 +548,8 @@ BAD_INPUTS = {
     **{f"modular-weight-{bad}": (
         {"w.txt": f"1.0\n{bad}\n"},
         ["run", "--algo", "twin", "--objective", "modular", "--weights-file", "@w.txt",
-         "--constraint", "uniform:k=2"], f"w.txt:2: weight {float(bad)} must be finite")
-       for bad in ("nan", "inf", "-inf")},
+         "--constraint", "uniform:k=2"], f"w.txt:2: weight {float(bad)} must be finite and >= 0")
+       for bad in ("nan", "inf", "-inf", "-1.0")},
     "modular-weight-not-a-number": (
         {"w.txt": "1.0\nabc\n"},
         ["run", "--algo", "twin", "--objective", "modular", "--weights-file", "@w.txt",
@@ -668,7 +668,7 @@ def test_bad_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys, fi
 G_4 = "# nodes 4 directed 0\n0 1 0.5\n1 2 1.0\n2 3 0.25\n"
 FUZZ_FILES = {  # kind: (valid file text, run arguments; @fuzz.txt is the fuzzed file)
     "graph": (G_4, ["--objective", "cut", "--graph", "@fuzz.txt"]),
-    "weights": ("1.0\n-2.0\n3.0\n", ["--objective", "modular", "--weights-file", "@fuzz.txt"]),
+    "weights": ("1.0\n2.0\n3.0\n", ["--objective", "modular", "--weights-file", "@fuzz.txt"]),
     "rrsets": (RR_3, ["--objective", "marketing", "--rrsets", "@fuzz.txt", "--costs", "@c.txt"]),
     "costs": (COSTS_3, ["--objective", "marketing", "--rrsets", "@rr.txt", "--costs",
                         "@fuzz.txt"]),

@@ -1,4 +1,5 @@
 import re
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,34 @@ def test_query_counter_increments_once_per_evaluate():
         assert f.query_count == expected
 
 
+class _BasedCount(t.ValueOracle):
+    """|S| over 0..3, with bases; a based query answers `plus`."""
+
+    def __init__(self, plus):
+        super().__init__()
+        self.n, self.plus = 4, plus
+
+    def _value(self, mask):
+        return float(mask.bit_count())
+
+    def _new_base(self, mask):
+        return types.SimpleNamespace(mask=mask)
+
+    def _value_plus(self, base, e):
+        return self.plus
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0], ids=repr)
+def test_based_query_follows_the_value_rule(bad):
+    f = _BasedCount(bad)
+    base = f.base(0b001)
+    assert f.evaluate(0b011) == 2.0 and f.evaluate(0b110, base) == 2.0  # not an extension
+    with pytest.raises(t.ContractViolation, match=re.escape(f"f([0, 1]) is {bad}: a value must")):
+        f.evaluate(0b011, base)
+    assert f.query_count == 3
+    assert _BasedCount(0.0).evaluate(0b011, base) == 0.0
+
+
 def test_submodularity_check_accepts_weighted_cut():
     graph, ground, oracle, _ = helpers.cut_instance(8, seed=3)
     ok, witness = t.submodularity_check(oracle(), ground, trials=1000, seed=1)
@@ -55,7 +84,7 @@ def test_insertion_log_replay_and_pre():
     assert list(pre) == [3, 1, 0]
     assert pre[3] == (0, 0) and pre[1] == (0b1000, 0) and pre[0] == (0b1000, 0b0010)
     assert log.side_elements(1) == [3, 0]
-    log.validate()
+    log.validate(4)
 
 
 def test_insertion_log_validate_rejects_duplicates():
@@ -63,13 +92,28 @@ def test_insertion_log_validate_rejects_duplicates():
     log.append(element=2, side=1, gain=1.0)
     log.append(element=2, side=2, gain=1.0)
     with pytest.raises(t.ContractViolation):
-        log.validate()
+        log.validate(3)
 
 
 def test_insertion_log_validate_rejects_position_gap():
     log = t.InsertionLog(entries=[LogEntry(element=0, side=1, position=1, gain=1.0)])
     with pytest.raises(t.ContractViolation):
-        log.validate()
+        log.validate(1)
+
+
+@pytest.mark.parametrize("element, gain, error", [
+    (-1, 1.0, "element -1 outside the ground set of size 4"),
+    (4, 1.0, "element 4 outside the ground set of size 4"),
+    (2, float("nan"), "element 2 has gain nan"),
+    (2, float("inf"), "element 2 has gain inf"),
+    (2, float("-inf"), "element 2 has gain -inf"),
+])
+def test_insertion_log_validate_rejects_ids_outside_n_and_non_finite_gains(element, gain, error):
+    log = t.InsertionLog()
+    log.append(element=0, side=1, gain=1.0)
+    log.append(element=element, side=2, gain=gain)
+    with pytest.raises(t.ContractViolation, match=re.escape(error)):
+        log.validate(4)
 
 
 def test_run_report_invariants_enforced():

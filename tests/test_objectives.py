@@ -319,7 +319,7 @@ def test_based_cut_query_rejects_ids_past_the_nodes(case):
 
 def test_only_the_sparse_cut_and_marketing_offer_a_base():
     small = t.CutMonitorObjective(t.WeightedGraph(5, [(0, 1, 1.0)]))
-    oracles = [small, t.ModularObjective([1.0, -2.0]),
+    oracles = [small, t.ModularObjective([1.0, 2.0]),
                helpers.CoverageObjective([1.0], [0b1, 0b0])]
     for f in oracles:
         assert f.base(0) is None and f.base(0b1, f.base(0)) is None
@@ -536,7 +536,7 @@ def contract_cases(draw, kind):
     if kind == "marketing":
         f = draw(marketing_instances())[0]
     elif kind == "modular":
-        f = t.ModularObjective(draw(st.lists(st.floats(-10, 10), min_size=1, max_size=70)))
+        f = t.ModularObjective(draw(st.lists(st.floats(0, 10), min_size=1, max_size=70)))
     else:
         items = draw(st.integers(1, 12))
         covers = draw(st.lists(st.integers(0, (1 << items) - 1), min_size=1, max_size=70))
@@ -630,21 +630,22 @@ def test_marketing_submodular_including_empty_seam():
 
 
 def test_modular_objective_sums_weights():
-    f = t.ModularObjective([1.0, -2.0, 4.0])
+    f = t.ModularObjective([1.0, 2.0, 4.0])
     assert f.evaluate(0b101) == 5.0
-    assert f.evaluate(0b111) == 3.0
+    assert f.evaluate(0b111) == 7.0
 
 
 def test_modular_sum_is_left_to_right():
-    # sum() compensates from Python 3.12 on and would give 1.0 here
-    assert t.ModularObjective([1e16, 1.0, -1e16]).evaluate(0b111) == 0.0
-    assert helpers.CoverageObjective([1e16, 1.0, -1e16], [0b1, 0b10, 0b100]).evaluate(0b111) == 0.0
+    # a left fold rounds 1e16 + 1.0 to 1e16 twice; sum() compensates from
+    # Python 3.12 on and would give 1.0000000000000002e16 here
+    assert t.ModularObjective([1e16, 1.0, 1.0]).evaluate(0b111) == 1e16
+    assert helpers.CoverageObjective([1e16, 1.0, 1.0], [0b1, 0b10, 0b100]).evaluate(0b111) == 1e16
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_modular_objective_rejects_non_finite_weights(bad):
-    with pytest.raises(t.ContractViolation, match="finite"):
-        t.ModularObjective([1.0, bad, -2.0])
+    with pytest.raises(t.ContractViolation, match="finite and >= 0"):
+        t.ModularObjective([1.0, bad, 2.0])
 
 
 def test_coverage_objective_counts_union_once():
@@ -687,9 +688,11 @@ LOADERS = {
     ("partition", "1 0 2", "element_id part_id"),
     ("weights", "abc", "weight"),
     ("weights", "1.0 2.0", "weight"),
+    ("weights", "-1.5", None),
 ], ids=["0 1", "0 1 x", "0 1 0.5 7", "edge-negative-weight", "edge-id-past-header",
         "rrsets-token", "rrsets-id-past-header", "rrsets-negative-id", "costs-one-field",
-        "costs-token", "partition-three-fields", "weights-token", "weights-two-fields"])
+        "costs-token", "partition-three-fields", "weights-token", "weights-two-fields",
+        "weights-negative"])
 def test_edge_list_malformed_line_names_path_and_line(tmp_path, kind, line, shape):
     loader, good, _ = LOADERS[kind]
     path = tmp_path / f"{kind}.txt"
@@ -830,7 +833,7 @@ def column_file(draw, kind):
         lines += [f"{draw(ids)} {draw(ids)} {draw(st.floats(0, 1e300).map(repr))}"
                   for _ in range(draw(st.integers(1, 8)))]
     elif kind == "weights":
-        lines = [draw(value) for _ in range(n)]
+        lines = [draw(st.floats(0, allow_infinity=False).map(repr)) for _ in range(n)]
     else:
         labels = value if kind == "costs" else st.integers(-10 ** 6, 10 ** 6).map(str)
         lines = [f"{e} {draw(labels)}" for e in draw(st.permutations(range(n)))]
@@ -889,7 +892,7 @@ VALID_LINES = {
     "edges": ["# nodes 4 directed 0", "0 1 0.5", "1 2 1e-3", "2 3 7"],
     "costs": ["1 0.25", "0 1.5", "2 -3"],
     "partition": ["2 0", "0 1", "1 -4"],
-    "weights": ["1.5", "-2", "0.1"],
+    "weights": ["1.5", "2", "0.1"],
 }
 
 

@@ -26,8 +26,7 @@ def test_twin_greedy_modular_rank_one():
 
 def test_twin_greedy_breaks_immediately_on_nonpositive_gains():
     ground = t.GroundSet(4)
-    report = t.twin_greedy(t.ModularObjective([-1.0, -2.0, -0.5, -3.0]),
-                           t.UniformMatroid(4, 2), ground)
+    report = t.twin_greedy(t.ModularObjective([0.0] * 4), t.UniformMatroid(4, 2), ground)
     assert report.s_star == 0 and report.f_star == 0.0
     assert len(report.log) == 0
 
@@ -52,8 +51,7 @@ def test_twin_greedy_fast_modular_rank_one():
 
 def test_twin_greedy_fast_tau_guard_returns_empty():
     ground = t.GroundSet(3)
-    report = t.twin_greedy_fast(t.ModularObjective([-1.0, -0.1, -5.0]),
-                                t.UniformMatroid(3, 2), ground, 0.2)
+    report = t.twin_greedy_fast(t.ModularObjective([0.0] * 3), t.UniformMatroid(3, 2), ground, 0.2)
     assert report.s_star == 0
     assert report.parameters["passes"] == 0
 
@@ -114,10 +112,15 @@ def test_classic_greedy_modular_exact_under_uniform():
     assert t.members(report.s_star) == [1, 2] and report.f_star == 12.0
 
 
+def _shrinking(n):
+    """f(S) = n**2 - |S|**2 over 0..n-1: non-negative and submodular, and
+    every marginal gain is negative."""
+    return t.CallableOracle(lambda mask: float(n * n - mask.bit_count() ** 2))
+
+
 def test_classic_greedy_stops_on_all_negative():
     ground = t.GroundSet(3)
-    report = t.classic_greedy(t.ModularObjective([-1.0, -2.0, -3.0]),
-                              t.UniformMatroid(3, 2), ground)
+    report = t.classic_greedy(_shrinking(3), t.UniformMatroid(3, 2), ground)
     assert report.s_star == 0
 
 
@@ -145,8 +148,8 @@ def test_exact_max_modular():
 
 def test_exact_max_empty_when_all_negative():
     ground = t.GroundSet(4)
-    res = t.exact_max(t.ModularObjective([-1.0] * 4), t.UniformMatroid(4, 2), ground)
-    assert res.solution == 0 and res.value == 0.0
+    res = t.exact_max(_shrinking(4), t.UniformMatroid(4, 2), ground)
+    assert res.solution == 0 and res.value == 16.0
 
 
 def test_exact_max_matches_full_enumeration():
@@ -437,82 +440,61 @@ def test_twin_greedy_fast_matches_rescan_across_epsilon(epsilon, count, p):
                                                               epsilon))
 
 
-# the masks `_odd_run` answers with an odd value, and that value: NaN on
-# one in five sets of two or more elements, on element 2 joined to a
-# non-empty set or on the singleton {3}; an infinite singleton {3}; and
-# f(empty) = -inf, which makes every singleton gain infinite
-ODD_VALUES = {
-    "ext": (lambda mask: mask.bit_count() >= 2 and mask % 5 == 1, math.nan),
-    "lone": (lambda mask: mask >> 2 & 1 and mask != 0b100, math.nan),
-    "single": (lambda mask: mask == 0b1000, math.nan),
-    "inf": (lambda mask: mask == 0b1000, math.inf),
-    "empty": (lambda mask: mask == 0, -math.inf),
-}
-
-
-def _odd_run(key):
-    """twin_greedy_fast (epsilon 0.1) on a cut instance behind a
-    CallableOracle that answers ODD_VALUES[kind]; returns the report and
-    the masks answered with the odd value."""
-    kind, idx = key.split("-")
-    n = 8 + 2 * int(idx)
-    build = helpers.cut_instance if int(idx) % 2 == 0 else helpers.psystem_instance
-    graph, ground, oracle, constraint = build(n, seed=9600 + int(idx), cap=3)
-    f, (odd_at, odd), hits = oracle(), ODD_VALUES[kind], []
-
-    def value(mask):
-        if odd_at(mask):
-            hits.append(mask)
-            return odd
-        return f.evaluate(mask)
-
-    return t.twin_greedy_fast(t.CallableOracle(value), constraint(), ground, 0.1), hits
-
-
-# sha256 of `_odd_run(key)[0].to_dict(include_timing=False)`, recorded with
-# the pass-by-pass scan over a NaN-aware bound matrix: a NaN bound is
-# re-evaluated when the element's other side clears the bar, an element
-# with no non-NaN bound is never scanned again, a NaN singleton ends the
-# run before its first pass and an infinite one leaves no pass at all
-TWINFAST_ODD_SHA256 = {
-    "ext-0": "38c90aa3c63fbe0dc8674ad10234d8b5c2bd42c65e55541d572f5b9990352235",
-    "ext-1": "6cab4fc1e39b4a905937b00d2b05166a6c03e6bfa8e2d3881cd6710d9b0a8710",
-    "ext-2": "4f2346b35c038b651bb064c847f5a1e3b7fc14f50d9aa5a5d0d0cd48e078ee7a",
-    "ext-3": "00dd998aa8fb734a8d503ffed0cfd4de136b14c01ab423e95ef2a1e82a76b943",
-    "lone-0": "fa06c2630bf9365808eb6761359e075776665462aa29aa561984bf7dd660b619",
-    "lone-1": "c46d5d3241abd547c33faea23ed85ab81e77525c1562bb3cfa49a07559141211",
-    "single-0": "a347ea9dc6c1745b6acff8db4863295ad4d9ded22f3c4ad0a5acf82e00fb7002",
-    "inf-1": "b9ead0b0393c6820356d43650adc1809a77228547535f0ba1b78d3d0d79479fd",
-    "empty-0": "61a394f44dc0f041b0fda60a78052f6394d823996f201cecaba622c3db1cf526",
-}
-
-
-@pytest.mark.parametrize("key, digest", TWINFAST_ODD_SHA256.items(), ids=list(TWINFAST_ODD_SHA256))
-def test_twin_greedy_fast_odd_values_are_pinned(key, digest):
-    report, hits = _odd_run(key)
-    assert hits
-    assert _report_sha256(report) == digest
-
-
 SOLVE_NAMES = {"twin": "twin_greedy", "twinfast": "twin_greedy_fast",
                "samplegreedy": "sample_greedy", "greedy": "classic_greedy",
                "exact": "exact"}
 
 
-def _nan_empty(mask):
-    return math.nan if mask == 0 else float(mask.bit_count())
+def _certify_against_modular(f, constraint, ground):
+    """certify_run, with the oracle f, of a twin_greedy run and the optimum
+    found with the modular weights 6, 5, ..., 1 (what `_bad_oracle` answers
+    off its bad sets)."""
+    good = t.ModularObjective([6.0 - e for e in range(ground.n)])
+    report = t.twin_greedy(good, constraint, ground)
+    opt = t.exact_max(good, constraint, ground)
+    return t.certify_run(f, constraint, report, opt.solution, opt.value)
 
 
-@pytest.mark.parametrize("name", SOLVE_NAMES)
-def test_every_solver_rejects_a_nan_empty_value(name):
-    with pytest.raises(t.ContractViolation, match=r"f\(empty\) is NaN"):
-        t.solve(name, t.CallableOracle(_nan_empty), t.UniformMatroid(4, 2), t.GroundSet(4),
-                epsilon=0.1, q=0.5, seed=1)
+VALUE_RULE_ENTRIES = {
+    **{f"solve-{name}": lambda f, c, g, name=name: t.solve(name, f, c, g, epsilon=0.1, q=0.5,
+                                                          seed=1)
+       for name in SOLVE_NAMES},
+    "exact_max": t.exact_max,
+    "certify_run": _certify_against_modular,
+    "submodularity_check": lambda f, c, g: t.submodularity_check(f, g),
+}
+# where a bad value stands: at f(empty), at every singleton, or at every
+# pair, which a run first asks after its first insertion
+BAD_AT = {"empty": 0, "singleton": 1, "after-first-insertion": 2}
 
 
-def test_exact_max_rejects_a_nan_empty_value():
-    with pytest.raises(t.ContractViolation, match=r"f\(empty\) is NaN"):
-        t.exact_max(t.CallableOracle(_nan_empty), t.UniformMatroid(4, 2), t.GroundSet(4))
+def _bad_oracle(size, bad):
+    """A CallableOracle over 0..5 that answers `bad` for every set of
+    `size` elements and the modular sum of the weights 6, 5, ..., 1 for
+    any other set, and the list of the masks it was asked, in order."""
+    asked = []
+
+    def value(mask):
+        asked.append(mask)
+        return bad if mask.bit_count() == size else float(sum(6 - e for e in t.members(mask)))
+
+    return t.CallableOracle(value), asked
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0], ids=repr)
+@pytest.mark.parametrize("where", BAD_AT)
+@pytest.mark.parametrize("entry", VALUE_RULE_ENTRIES.values(), ids=VALUE_RULE_ENTRIES.keys())
+def test_every_entry_point_rejects_a_value_outside_the_rule(entry, where, bad):
+    """A NaN, infinite or negative value raises the one ContractViolation of
+    `ValueOracle.evaluate`, naming the set and the value, at the query that
+    returns it, and that query counts."""
+    f, asked = _bad_oracle(BAD_AT[where], bad)
+    with pytest.raises(t.ContractViolation) as raised:
+        entry(f, t.UniformMatroid(6, 2), t.GroundSet(6))
+    assert str(raised.value) == (f"f({t.members(asked[-1])}) is {bad}: "
+                                 f"a value must be finite and >= 0")
+    assert asked[-1].bit_count() == BAD_AT[where]
+    assert f.query_count == len(asked)
 
 
 ENTRY_POINTS = {
@@ -531,8 +513,8 @@ def test_every_entry_point_rejects_sizes_that_differ(entry):
     """Each of the three sizes differing from the other two, as a cut on 10
     nodes under a 10-element matroid over GroundSet(6), is rejected before
     any query or check, not solved as a smaller sub-problem.  (A
-    CallableOracle states no size: the NaN tests above run it through
-    every entry point.)"""
+    CallableOracle states no size: the value-rule tests above run it
+    through every entry point.)"""
     for n_f, n_c, n_g in [(10, 10, 6), (10, 6, 10), (6, 10, 10)]:
         f = t.CutMonitorObjective(t.WeightedGraph(n_f, [(0, 1, 1.0), (1, 5, 0.5), (5, 2, 2.0)]))
         c = t.UniformMatroid(n_c, 3)
