@@ -139,7 +139,11 @@ def build_objective(args):
         if not args.weights_file:
             raise UsageError("modular objective needs --weights-file")
         inputs = [args.weights_file]
-        f = obj.ModularObjective(_load_modular_weights(args.weights_file))
+        weights = _load_modular_weights(args.weights_file)
+        try:
+            f = obj.ModularObjective(weights)
+        except ContractViolation as exc:
+            raise UsageError(f"{args.weights_file}: {exc}") from exc
     elif args.objective == "marketing":
         if not (args.rrsets and args.costs):
             raise UsageError("marketing objective needs --rrsets and --costs")

@@ -20,6 +20,8 @@ RNG_ID = "numpy-pcg64"
 
 # 64-bit words _Stream reads from the bit generator at a time
 _BLOCK = 4096
+# node pairs gen_er draws at a time, which bounds its scratch memory
+_ER_PAIRS = 1 << 20
 
 
 class _Stream:
@@ -87,9 +89,16 @@ def gen_er(n: int, p: float, seed: int) -> WeightedGraph:
     rng = np.random.default_rng(seed)
     edges: list[tuple[int, int, float]] = []
     if n >= 2 and p > 0.0:
-        rows, cols = np.triu_indices(n, k=1)
-        keep = rng.random(rows.shape[0]) < p
-        edges = list(zip(rows[keep].tolist(), cols[keep].tolist(), repeat(1.0)))
+        # the pairs (u, v), u < v, in row-major order, one double each; drawn
+        # _ER_PAIRS at a time, which reads the same doubles as one draw
+        pairs = n * (n - 1) // 2
+        u = np.arange(n - 1, dtype=np.int64)
+        starts = u * (2 * n - 1 - u) // 2  # index of pair (u, u + 1)
+        for lo in range(0, pairs, _ER_PAIRS):
+            kept = lo + np.flatnonzero(rng.random(min(_ER_PAIRS, pairs - lo)) < p)
+            rows = np.searchsorted(starts, kept, side="right") - 1
+            cols = kept - starts[rows] + rows + 1
+            edges += zip(rows.tolist(), cols.tolist(), repeat(1.0))
     return WeightedGraph(n, edges, directed=False)
 
 

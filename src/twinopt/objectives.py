@@ -15,13 +15,12 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec  # the row kernel behind csr_matrix.dot
 
 from .core import (MAX_HEADER_COUNT, ContractViolation, ValueOracle, bitmask, left_sum, members,
                    read_dense, read_fixed_rows, read_rows, write_rows)
 
-# below this many nodes a Python adjacency scan beats the sparse matvec
+# below this many nodes a Python adjacency scan beats the sparse matvec;
+# SciPy is imported by the first cut built at or above it
 _SPARSE_MIN_NODES = 192
 
 
@@ -154,6 +153,10 @@ class CutMonitorObjective(ValueOracle):
         self.n = n = graph.n_nodes
         self._sparse = n >= _SPARSE_MIN_NODES
         if self._sparse:
+            import scipy.sparse as sp
+            from scipy.sparse._sparsetools import csr_matvec  # the row kernel behind csr_matrix.dot
+
+            self._matvec = csr_matvec
             ids = cells[:, :2].astype(np.int64)
             # both orientations of each edge in turn: u v, v u, as COO entries
             self._adj = sp.csr_matrix(
@@ -192,7 +195,7 @@ class CutMonitorObjective(ValueOracle):
         x = 1.0 - ind
         y = np.zeros(self.n)
         adj = self._adj
-        csr_matvec(self.n, self.n, adj.indptr, adj.indices, adj.data, x, y)  # as adj.dot(x)
+        self._matvec(self.n, self.n, adj.indptr, adj.indices, adj.data, x, y)  # as adj.dot(x)
         return _CutBase(mask, ind, x, y, bits.view(bool))
 
     def _grow(self, prev: _CutBase, e: int) -> _CutBase:
@@ -232,7 +235,7 @@ class CutMonitorObjective(ValueOracle):
         down = rows[::-1]
         ptr = self._spans.take(down, axis=0).ravel()
         out = np.zeros(len(ptr) - 1)
-        csr_matvec(len(out), self.n, ptr, self._adj.indices, self._adj.data, x, out)
+        self._matvec(len(out), self.n, ptr, self._adj.indices, self._adj.data, x, out)
         y.put(down, out[0::2])
 
 
@@ -406,13 +409,18 @@ def _cover_index(sets: list[int], n_nodes: int) -> list[int]:
 
 
 class ModularObjective(ValueOracle):
-    """f(S) = sum of per-element weights, each finite and >= 0."""
+    """f(S) = sum of per-element weights, each finite and >= 0.
+
+    Rounding is monotone, so no set's left-to-right sum exceeds f(V), the
+    sum of all the weights: a finite f(V) keeps every value finite."""
 
     def __init__(self, weights):
         super().__init__()
         self.weights = [float(w) for w in weights]
         if not all(0.0 <= w < math.inf for w in self.weights):
             raise ContractViolation("modular weights must be finite and >= 0")
+        if left_sum(self.weights) == math.inf:
+            raise ContractViolation("modular weights must have a finite sum")
         self.n = len(self.weights)
 
     def _value(self, mask: int) -> float:

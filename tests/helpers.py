@@ -249,3 +249,15 @@ def scalar_ba_edges(n, m0, m, seed):
             edges.append((u, v, 1.0))
             repeated += [u, v]
     return edges
+
+
+def whole_triangle_er_edges(n, p, seed):
+    """Erdos-Renyi edges drawn with one `rng.random` call over every pair
+    of `np.triu_indices(n, k=1)`, the graph `gen_er` must reproduce bit
+    for bit."""
+    rng = np.random.default_rng(seed)
+    if n < 2 or p <= 0.0:
+        return []
+    rows, cols = np.triu_indices(n, k=1)
+    keep = rng.random(rows.shape[0]) < p
+    return [(u, v, 1.0) for u, v in zip(rows[keep].tolist(), cols[keep].tolist())]

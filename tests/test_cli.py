@@ -550,6 +550,10 @@ BAD_INPUTS = {
         ["run", "--algo", "twin", "--objective", "modular", "--weights-file", "@w.txt",
          "--constraint", "uniform:k=2"], f"w.txt:2: weight {float(bad)} must be finite and >= 0")
        for bad in ("nan", "inf", "-inf", "-1.0")},
+    "modular-weights-sum-overflows": (
+        {"w.txt": "1e308\n1e308\n1.0\n"},
+        ["run", "--algo", "twin", "--objective", "modular", "--weights-file", "@w.txt",
+         "--constraint", "uniform:k=2"], "w.txt: modular weights must have a finite sum"),
     "modular-weight-not-a-number": (
         {"w.txt": "1.0\nabc\n"},
         ["run", "--algo", "twin", "--objective", "modular", "--weights-file", "@w.txt",

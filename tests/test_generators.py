@@ -22,6 +22,22 @@ def test_gen_er_edge_count_within_four_sigma():
     assert abs(len(graph.edges) - mean) <= 4 * sigma
 
 
+@pytest.mark.parametrize("n, p", [(1448, 0.01), (1449, 0.01), (2100, 0.002)])
+def test_gen_er_equals_whole_triangle_reference(n, p):
+    # 1448 nodes are one block of 2**20 pairs, 1449 two and 2100 three
+    for seed in (0, 5):
+        assert t.gen_er(n, p, seed).edges == helpers.whole_triangle_er_edges(n, p, seed)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_gen_er_equals_whole_triangle_reference_at_tiny_blocks(block, monkeypatch):
+    # blocks end inside rows, at row ends and past several rows
+    monkeypatch.setattr(generators, "_ER_PAIRS", block)
+    for n in (0, 1, 2, 3, 8, 15, 40):
+        for p in (0.0, 0.3, 1.0):
+            assert t.gen_er(n, p, n).edges == helpers.whole_triangle_er_edges(n, p, n)
+
+
 def test_gen_er_rejects_bad_probability():
     with pytest.raises(t.ContractViolation):
         t.gen_er(5, 1.5, 1)

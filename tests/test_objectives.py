@@ -3,6 +3,8 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -263,19 +265,75 @@ def test_a_failed_based_cut_query_leaves_the_base_unchanged():
 
 
 def test_csr_matvec_adds_into_out_and_skips_a_descending_span():
-    """The kernel contract the sparse cut relies on, checked on SciPy's
-    private `csr_matvec` itself: it adds A @ x into `out`, and a row whose
-    index-pointer start lies past its end adds nothing."""
+    """The kernel contract the sparse cut relies on, checked on the kernel
+    a sparse cut calls, SciPy's private `csr_matvec`: it adds A @ x into
+    `out`, and a row whose index-pointer start lies past its end adds
+    nothing."""
+    matvec = t.CutMonitorObjective(t.WeightedGraph(objmod._SPARSE_MIN_NODES, []))._matvec
     adj = sp.csr_matrix(np.array([[0.0, 0.5, 0.25], [2.0, 0.0, 1.0], [0.0, 4.0, 0.0]]))
     x = np.array([1.0, 2.0, 4.0])
     out = np.array([8.0, 16.0, 32.0])
-    objmod.csr_matvec(3, 3, adj.indptr, adj.indices, adj.data, x, out)
+    matvec(3, 3, adj.indptr, adj.indices, adj.data, x, out)
     assert out.tolist() == [8.0 + 2.0, 16.0 + 6.0, 32.0 + 8.0]
     ip = adj.indptr  # rows 2 and 0, descending; the row between spans [ip[3], ip[0]]
     ptr = np.array([ip[2], ip[3], ip[0], ip[1]], dtype=ip.dtype)
     out = np.full(3, 0.125)
-    objmod.csr_matvec(3, 3, ptr, adj.indices, adj.data, x, out)
+    matvec(3, 3, ptr, adj.indices, adj.data, x, out)
     assert out.tolist() == [0.125 + 8.0, 0.125, 0.125 + 2.0]
+
+
+# run in a fresh interpreter, one line per step: its name and whether
+# scipy.sparse is loaded after it
+SCIPY_STEPS = """
+import sys
+import twinopt as t
+
+def step(name):
+    print(name, "scipy.sparse" in sys.modules)
+
+def solve(f, c):
+    t.solve("twinfast", f, c, t.GroundSet(f.n), epsilon=0.1)
+
+step("import")
+solve(t.CutMonitorObjective(t.gen_er(191, 0.1, 1)), t.UniformMatroid(191, 5))
+step("cut-191")
+g = t.gen_ba(40, 3, 2, 2)
+g = t.set_indegree_probabilities(t.WeightedGraph(40, g.edges + [(v, u, w) for u, v, w in g.edges],
+                                                 directed=True))
+solve(t.MarketingObjective([t.gen_rr_sets(g, 30, s) for s in (3, 4)], [1.0] * 40),
+      t.SeedMatroid(40, 2, 3))
+step("marketing")
+solve(t.ModularObjective([1.0, 2.0, 3.0]), t.UniformMatroid(3, 2))
+step("modular")
+solve(t.CutMonitorObjective(t.gen_er(192, 0.1, 1)), t.UniformMatroid(192, 5))
+step("cut-192")
+"""
+SCIPY_HELP = """
+import contextlib, io, runpy, sys
+sys.argv = ["twinopt", "--help"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    runpy.run_module("twinopt", run_name="__main__")
+print("help", "scipy.sparse" in sys.modules)
+"""
+
+
+def _scipy_steps(code):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120, check=True)
+    return [line.split() for line in run.stdout.splitlines()]
+
+
+def test_scipy_loads_only_with_a_sparse_cut():
+    """Importing twinopt, `python -m twinopt --help`, and building and
+    solving a list-path cut, a marketing and a modular objective leave
+    SciPy's sparse module unloaded; the first cut on the sparse path
+    loads it."""
+    assert _scipy_steps(SCIPY_STEPS) == [["import", "False"], ["cut-191", "False"],
+                                         ["marketing", "False"], ["modular", "False"],
+                                         ["cut-192", "True"]]
+    assert _scipy_steps(SCIPY_HELP) == [["help", "False"]]
 
 
 def _off_extensions(f, s, e):
@@ -646,6 +704,12 @@ def test_modular_sum_is_left_to_right():
 def test_modular_objective_rejects_non_finite_weights(bad):
     with pytest.raises(t.ContractViolation, match="finite and >= 0"):
         t.ModularObjective([1.0, bad, 2.0])
+
+
+def test_modular_objective_rejects_weights_whose_sum_overflows():
+    with pytest.raises(t.ContractViolation, match="finite sum"):
+        t.ModularObjective([1e308, 1e308, 1.0])
+    assert t.ModularObjective([1e308, 7e307, 1.0]).evaluate(0b111) == 1e308 + 7e307
 
 
 def test_coverage_objective_counts_union_once():
