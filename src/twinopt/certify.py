@@ -122,8 +122,13 @@ def _replay(report: RunReport, constraint):
 
 def classify(report: RunReport, optimal: int, constraint) -> ClassifiedOptimal:
     """Assign each optimal element to its class given a finished run."""
+    return _classify(report, optimal, constraint, _replay(report, constraint))
+
+
+def _classify(report, optimal, constraint, replayed) -> ClassifiedOptimal:
+    """`classify`, on the log's `_replay`."""
     s1, s2 = report.s1, report.s2
-    states, before = _replay(report, constraint)
+    states, before = replayed
     cls = ClassifiedOptimal()
     for e in members(optimal & s1):
         if constraint.can_add(states[1][before[e][1]], e):
@@ -182,9 +187,14 @@ def _sweep(side_elements: list[int], states: list, pool: int, identity: int, con
 
 def build_pi(report: RunReport, classes: ClassifiedOptimal, constraint, p: int = 1) -> PiMapping:
     """Construct both charging maps; raises CertificationError on failure."""
+    return _build_pi(report, classes, constraint, p, _replay(report, constraint))
+
+
+def _build_pi(report, classes, constraint, p, replayed) -> PiMapping:
+    """`build_pi`, on the log's `_replay`."""
     if p < 1:
         raise ContractViolation("p must be >= 1")
-    states, _ = _replay(report, constraint)
+    states, _ = replayed
     pi1, pi2 = (_sweep(report.log.side_elements(side), states[side - 1], classes.pools[side - 1],
                        classes.identities[side - 1], constraint, p) for side in (1, 2))
     return PiMapping(pi1=pi1, pi2=pi2)
@@ -196,8 +206,13 @@ def check_pi_properties(report: RunReport, classes: ClassifiedOptimal, pi: PiMap
     on the prescribed subsets, and the preimage cap.  An e already in the
     target's prefix is feasible there, as that prefix is independent; a
     target outside the side has no moment, so e is not feasible there."""
+    return _check_pi_properties(report, classes, pi, constraint, p, _replay(report, constraint))
+
+
+def _check_pi_properties(report, classes, pi, constraint, p, replayed) -> list[tuple[str, bool]]:
+    """`check_pi_properties`, on the log's `_replay`."""
     pre = report.log.pre_masks()
-    states, before = _replay(report, constraint)
+    states, before = replayed
     results = []
     for side, mapping, side_mask in ((1, pi.pi1, report.s1), (2, pi.pi2, report.s2)):
         results.append((f"pi{side}_domain", bitmask(mapping.keys()) == classes.pools[side - 1]))
@@ -389,8 +404,9 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
     variant, epsilon, _ = _variant(report)
     q0 = f.query_count
     cached = CallableOracle(functools.cache(f.evaluate))
-    classes = classify(report, optimal, constraint)
-    pi = build_pi(report, classes, constraint, p=p)
+    replayed = _replay(report, constraint)  # one replay for the three structural steps
+    classes = _classify(report, optimal, constraint, replayed)
+    pi = _build_pi(report, classes, constraint, p, replayed)
     global_check, ratio_check, degenerate = check_global_bound(report, optimal_value, p=p)
     return CertificationReport(
         algorithm=report.algorithm,
@@ -401,7 +417,7 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
         optimal_value=optimal_value,
         classes=classes,
         pi=pi,
-        structural=check_pi_properties(report, classes, pi, constraint, p=p),
+        structural=_check_pi_properties(report, classes, pi, constraint, p, replayed),
         inequalities=check_gain_bounds(cached, report, classes, pi),
         residuals=check_residuals(cached, report, classes),
         log_gain_check=check_log_gains(cached, report.log),

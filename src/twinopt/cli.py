@@ -134,7 +134,11 @@ def build_objective(args):
         if not args.graph:
             raise UsageError("cut objective needs --graph")
         inputs = [args.graph]
-        f = obj.CutMonitorObjective(obj.load_edge_list(args.graph, directed=False))
+        graph = obj.load_edge_list(args.graph, directed=False)
+        try:
+            f = obj.CutMonitorObjective(graph)
+        except ContractViolation as exc:
+            raise UsageError(f"{args.graph}: {exc}") from exc
     elif args.objective == "modular":
         if not args.weights_file:
             raise UsageError("modular objective needs --weights-file")

@@ -97,7 +97,8 @@ def read_rows(path, shape: str, convert, keys=()) -> tuple[dict[str, int], list]
 
     This per-line reader is the reference for every input file: what it
     accepts, what it returns and each error message.  `read_fixed_rows`
-    parses fixed-width files in bulk and falls back to it."""
+    and `read_fixed_columns` parse fixed-width files in bulk and fall
+    back to it."""
     header: dict[str, int] = {}
     rows = []
     with open(path, errors="replace") as fh:  # undecodable bytes fail to parse
@@ -132,10 +133,10 @@ def _add_header(words: list[str], keys, header: dict[str, int]) -> None:
         raise ContractViolation(f"header count {max(header.values())} is above {MAX_HEADER_COUNT}")
 
 
-# the field kinds np.loadtxt parses for read_fixed_rows: ids and values
+# the field kinds np.loadtxt parses for _read_bulk: ids and values
 _FIELD_DTYPES = {int: np.int64, float: np.float64}
 
-# Below this many bytes (about 160 edges) read_fixed_rows reads a file line
+# Below this many bytes (about 160 edges) a file is left to read_rows, line
 # by line: one np.loadtxt call costs as much as the Python loop from about
 # 40 edges on when a file is read again and again, and more in a set-up that
 # does other work between loads (perfbench certify-small, up to 52 edges).
@@ -147,30 +148,43 @@ def read_fixed_rows(path, shape: str, convert, kinds, valid=None,
     """What `read_rows(path, shape, convert, keys)` returns, for a file
     whose rows hold `len(kinds)` fields and where `convert` returns each
     row as the tuple `(kinds[0](field0), ...)` or fails as read_rows
-    expects.
-
-    The rows after the leading header and comment lines are parsed in one
-    np.loadtxt pass (int as int64, float as float64), and
-    `valid(header, *columns)` checks the column arrays against `convert`'s
-    rules.  The file is read by read_rows instead, which raises the first
-    bad line's error or returns the rows, whenever loadtxt fails or warns
-    (a token `int()` or `float()` reads and loadtxt does not, a comment or
-    header after the first row, a row of another width), `valid` is
-    False or the file is under _BULK_MIN_BYTES.  So read_rows stays the
-    reference: the accepted grammar, the values and every error message
-    are its own."""
-    if os.path.getsize(path) >= _BULK_MIN_BYTES:
-        loaded = _load_fixed_rows(path, kinds, keys)
-        if loaded is not None:
-            header, data = loaded
-            if valid is None or valid(header, *(data[name] for name in data.dtype.names)):
-                return header, data.tolist()
-    return read_rows(path, shape, convert, keys)
+    expects.  The file is read in bulk where `_read_bulk` can."""
+    loaded = _read_bulk(path, kinds, valid, keys)
+    if loaded is None:
+        return read_rows(path, shape, convert, keys)
+    header, columns = loaded
+    return header, list(zip(*(col.tolist() for col in columns)))
 
 
-def _load_fixed_rows(path, kinds, keys) -> tuple[dict[str, int], np.ndarray] | None:
-    """Header and structured row array of a file whose rows np.loadtxt
-    reads, or None where read_rows must read it."""
+def read_fixed_columns(path, shape: str, convert, kinds, valid=None,
+                       keys=()) -> tuple[dict[str, int], list[np.ndarray]]:
+    """`read_fixed_rows` as columns, int64 for int and float64 for float,
+    for files whose accepted values fit those: the bulk reader's columns
+    as they are, or the per-line rows' columns."""
+    loaded = _read_bulk(path, kinds, valid, keys)
+    if loaded is None:
+        header, rows = read_rows(path, shape, convert, keys)
+        columns = list(zip(*rows)) or [()] * len(kinds)
+        loaded = header, [np.array(col, _FIELD_DTYPES[kind]) for col, kind in zip(columns, kinds)]
+    return loaded
+
+
+def _read_bulk(path, kinds, valid, keys) -> tuple[dict[str, int], list[np.ndarray]] | None:
+    """The header and the columns of a file whose rows hold `len(kinds)`
+    fields, read in one np.loadtxt pass, or None where `read_rows` must
+    read the file.
+
+    `valid(header, *columns)` checks the columns against the rules of
+    `convert`, the per-line reader's row function.  The answer is None,
+    and the file is left to read_rows, which raises the first bad line's
+    error or returns the rows, whenever loadtxt fails or warns (a token
+    `int()` or `float()` reads and loadtxt does not, a comment or header
+    after the first row, a row of another width), `valid` is False, the
+    file has no rows or it is under _BULK_MIN_BYTES.  So read_rows stays
+    the reference: the accepted grammar, the values and every error
+    message are its own."""
+    if os.path.getsize(path) < _BULK_MIN_BYTES:
+        return None
     dtype = np.dtype([(f"f{i}", _FIELD_DTYPES[kind]) for i, kind in enumerate(kinds)])
     header: dict[str, int] = {}
     with open(path, errors="replace") as fh:
@@ -195,9 +209,14 @@ def _load_fixed_rows(path, kinds, keys) -> tuple[dict[str, int], np.ndarray] | N
             # NumPy 1.x only warns when it reads a float string such as `3.0` as an int
             warnings.simplefilter("error")
             try:
-                return header, np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
+                data = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
             except (ValueError, Warning):
                 return None
+    # the fields of the structured array, each its own contiguous column
+    columns = [np.ascontiguousarray(data[name]) for name in dtype.names]
+    if valid is not None and not valid(header, *columns):
+        return None
+    return header, columns
 
 
 def read_dense(path, shape: str, kind) -> list:

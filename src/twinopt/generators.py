@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import repeat
 
 import numpy as np
 
@@ -87,7 +86,7 @@ def gen_er(n: int, p: float, seed: int) -> WeightedGraph:
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ContractViolation(f"need n >= 0 and edge probability p in [0,1], got {n}, {p}")
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int, float]] = []
+    heads, tails = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     if n >= 2 and p > 0.0:
         # the pairs (u, v), u < v, in row-major order, one double each; drawn
         # _ER_PAIRS at a time, which reads the same doubles as one draw
@@ -97,9 +96,10 @@ def gen_er(n: int, p: float, seed: int) -> WeightedGraph:
         for lo in range(0, pairs, _ER_PAIRS):
             kept = lo + np.flatnonzero(rng.random(min(_ER_PAIRS, pairs - lo)) < p)
             rows = np.searchsorted(starts, kept, side="right") - 1
-            cols = kept - starts[rows] + rows + 1
-            edges += zip(rows.tolist(), cols.tolist(), repeat(1.0))
-    return WeightedGraph(n, edges, directed=False)
+            heads.append(rows)
+            tails.append(kept - starts[rows] + rows + 1)
+    u, v = np.concatenate(heads), np.concatenate(tails)
+    return WeightedGraph.from_columns(n, u, v, np.ones(len(u)), directed=False)
 
 
 def gen_ba(n: int, m0: int, m: int, seed: int) -> WeightedGraph:
@@ -114,12 +114,11 @@ def gen_ba(n: int, m0: int, m: int, seed: int) -> WeightedGraph:
     if m0 < 2 and n > m0:
         raise ContractViolation("need m0 >= 2 when n > m0: newcomers attach to seed-clique edges")
     stream = _Stream(seed)
-    edges: list[tuple[int, int, float]] = []
-    # degree-weighted sampling via a repeated-endpoint list
+    # degree-weighted sampling via a repeated-endpoint list, which is also
+    # the edge list: the ends of each edge in turn
     repeated: list[int] = []
     for u in range(m0):
         for v in range(u + 1, m0):
-            edges.append((u, v, 1.0))
             repeated += [u, v]
     for v in range(m0, n):
         targets: set[int] = set()
@@ -127,9 +126,9 @@ def gen_ba(n: int, m0: int, m: int, seed: int) -> WeightedGraph:
             t = repeated[stream.integers(len(repeated))]
             targets.add(t)
         for t in sorted(targets):
-            edges.append((t, v, 1.0))
             repeated += [t, v]
-    return WeightedGraph(n, edges, directed=False)
+    ends = np.array(repeated, np.int64).reshape(-1, 2)
+    return WeightedGraph.from_columns(n, ends[:, 0], ends[:, 1], np.ones(len(ends)), directed=False)
 
 
 def assign_weights_uniform(g: WeightedGraph, lo: float, hi: float, seed: int) -> WeightedGraph:
@@ -137,9 +136,8 @@ def assign_weights_uniform(g: WeightedGraph, lo: float, hi: float, seed: int) ->
     if not 0.0 <= lo <= hi < math.inf:
         raise ContractViolation(f"need finite weights 0 <= lo <= hi, got {lo}, {hi}")
     rng = np.random.default_rng(seed)
-    draws = rng.uniform(lo, hi, len(g.edges)) if g.edges else np.empty(0)
-    edges = [(u, v, w) for (u, v, _), w in zip(g.edges, draws.tolist())]
-    return WeightedGraph(g.n_nodes, edges, directed=g.directed)
+    return WeightedGraph.from_columns(g.n_nodes, g.u, g.v, rng.uniform(lo, hi, len(g.w)),
+                                      directed=g.directed)
 
 
 def assign_groups(n: int, h: int, seed: int) -> list[int]:
@@ -155,18 +153,19 @@ def set_indegree_probabilities(g: WeightedGraph) -> WeightedGraph:
     if not g.directed:
         raise ContractViolation("in-degree probabilities need a directed graph")
     g.validate()
-    deg = g.in_degrees()
-    edges = [(u, v, 1.0 / deg[v]) for u, v, _ in g.edges]
-    return WeightedGraph(g.n_nodes, edges, directed=True)
+    deg = np.bincount(g.v, minlength=g.n_nodes)
+    return WeightedGraph.from_columns(g.n_nodes, g.u, g.v, 1.0 / deg[g.v], directed=True)
 
 
 def _check_probabilities(g: WeightedGraph) -> None:
     """Raise as `g.validate()` does, or for the first edge whose weight, its
     activation probability, is above 1."""
-    above = np.flatnonzero(g.validate()[:, 2] > 1.0)
+    g.validate()
+    above = np.flatnonzero(g.w > 1.0)
     if len(above):
-        u, v, p = g.edges[above[0]]
-        raise ContractViolation(f"edge ({u},{v}) has probability {p} outside [0,1]")
+        k = above[0]
+        raise ContractViolation(f"edge ({g.u.item(k)},{g.v.item(k)}) has probability "
+                                f"{g.w.item(k)} outside [0,1]")
 
 
 def gen_rr_sets(g: WeightedGraph, count: int, seed: int) -> RRSetCollection:
@@ -221,19 +220,20 @@ def ic_exact_spread(g: WeightedGraph, seeds_mask: int) -> float:
     Sums reachable-set sizes over all 2^|E| liveness patterns weighted by
     their probability, so it is only usable for |E| <= 20.
     """
-    n_edges = len(g.edges)
+    n_edges = len(g.w)
     if n_edges > 20:
         raise ContractViolation("exact spread enumerates 2^|E| patterns; need |E| <= 20")
     _check_probabilities(g)
     if seeds_mask == 0:
         return 0.0
     seeds = members(seeds_mask)
-    probs = [p for _, _, p in g.edges]
+    edges = g.edges
+    probs = [p for _, _, p in edges]
     total = 0.0
     for pattern in range(1 << n_edges):
         weight = 1.0
         adj: list[list[int]] = [[] for _ in range(g.n_nodes)]
-        for idx, (u, v, _) in enumerate(g.edges):
+        for idx, (u, v, _) in enumerate(edges):
             if (pattern >> idx) & 1:
                 weight *= probs[idx]
                 adj[u].append(v)

@@ -9,79 +9,176 @@ is in tests/helpers.py).
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (MAX_HEADER_COUNT, ContractViolation, ValueOracle, bitmask, left_sum, members,
-                   read_dense, read_fixed_rows, read_rows, write_rows)
+                   read_dense, read_fixed_columns, read_rows, write_rows)
 
 # below this many nodes a Python adjacency scan beats the sparse matvec;
 # SciPy is imported by the first cut built at or above it
 _SPARSE_MIN_NODES = 192
 
+# edge rows save_edge_list turns into Python objects at a time
+_SAVE_ROWS = 4096
 
-@dataclass
+# Every float a cut sums is a sum of edge weights, each at most twice (a
+# row of the symmetric adjacency holds a self-loop twice), in some order.
+# Rounding a sum of k non-negative terms adds at most a factor
+# (1 + 2**-53)**k, under 2 for any k that fits in memory, so with the
+# weights' total at most this bound no order of any such sum overflows.
+_CUT_WEIGHT_MAX = sys.float_info.max / 4
+
+
 class WeightedGraph:
-    """Edge list with one real weight per edge.
+    """Edge list with one real weight per edge, held as three NumPy columns.
 
-    For undirected monitoring graphs the third component is the edge
-    weight; for directed influence graphs it is the activation
-    probability p_uv.
+    `u` and `v` (int64) are the edges' end ids and `w` (float64) their
+    weights: for undirected monitoring graphs the edge weight, for
+    directed influence graphs the activation probability p_uv.  The
+    columns are read-only, so graphs may share them, and they are all the
+    graph stores: `WeightedGraph(n, edges, directed)` builds them once
+    from (u, v, w) triples, `from_columns` takes them as they are, and
+    `edges` builds the (int, int, float) triples from them on each read,
+    so a weight given as a Python int reads back as a float.  Two graphs
+    are equal when their node counts, directions and columns are.
+
+    A graph may hold ids outside 0..n-1 and weights that are negative or
+    not finite; `validate` rejects those.  An edge the columns cannot hold
+    (an id that is not an integer or is past int64, a weight past
+    float64) is rejected when the triples are read, by raising the error
+    `validate` raises for the first bad edge, and so is an edge that is
+    not a triple.
     """
 
-    n_nodes: int
-    edges: list[tuple[int, int, float]] = field(default_factory=list)
-    directed: bool = False
+    def __init__(self, n_nodes: int, edges=(), directed: bool = False):
+        self._hold(n_nodes, directed, *_triple_columns(edges, n_nodes))
 
-    def validate(self) -> np.ndarray:
-        """Check every edge against `_edges_ok` in one NumPy pass and return
-        the m x 3 float64 array of rows (u, v, w) it checked.  A bad edge
-        raises ContractViolation naming the first one: `has an id outside
-        0..n-1` when an id is out of range, else `has bad weight w`.  An
-        int past float64's range is bad too, as an id or a weight."""
-        m = len(self.edges)
-        try:
-            cells = np.fromiter(chain.from_iterable(self.edges), np.float64, 3 * m)
-        except OverflowError:  # read such an int as NaN, which the rule rejects
-            cells = np.fromiter(map(_float_or_nan, chain.from_iterable(self.edges)), np.float64)
-        cells = cells.reshape(m, 3)
-        bad = np.flatnonzero(~_edges_ok(*cells.T, self.n_nodes))
+    @classmethod
+    def from_columns(cls, n_nodes: int, u, v, w, directed: bool = False) -> WeightedGraph:
+        """The graph of the edges (u[k], v[k], w[k]); the ids must be of an
+        integer dtype.  Arrays already int64 or float64 and contiguous are
+        kept, not copied."""
+        graph = cls.__new__(cls)
+        graph._hold(n_nodes, directed, u, v, w)
+        return graph
+
+    def _hold(self, n_nodes, directed, u, v, w) -> None:
+        self.n_nodes, self.directed = n_nodes, directed
+        self.u, self.v, self.w = _column(u, np.int64), _column(v, np.int64), _column(w, np.float64)
+        if not len(self.u) == len(self.v) == len(self.w):
+            raise ContractViolation("the edge columns must have one entry per edge")
+
+    @property
+    def edges(self) -> list[tuple[int, int, float]]:
+        """The (u, v, w) triples, built from the columns."""
+        return list(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return (self.n_nodes == other.n_nodes and self.directed == other.directed
+                and np.array_equal(self.u, other.u) and np.array_equal(self.v, other.v)
+                and np.array_equal(self.w, other.w))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"WeightedGraph(n_nodes={self.n_nodes!r}, edges={self.edges!r}, "
+                f"directed={self.directed!r})")
+
+    def validate(self) -> None:
+        """Check every edge against `_edges_ok` in one NumPy pass.  A bad
+        edge raises ContractViolation naming the first one: `has an id
+        outside 0..n-1` when an id is out of range, else `has bad weight
+        w`."""
+        bad = np.flatnonzero(~_edges_ok(self.u, self.v, self.w, self.n_nodes))
         if len(bad):
-            u, v, w = self.edges[bad[0]]
-            if not _edges_ok(u, v, 0.0, self.n_nodes):
-                raise ContractViolation(f"edge ({u},{v}) has an id outside 0..{self.n_nodes - 1}")
-            raise ContractViolation(f"edge ({u},{v}) has bad weight {w}")
-        return cells
+            k = bad[0]
+            raise _edge_error(self.u.item(k), self.v.item(k), self.w.item(k), self.n_nodes)
 
     def in_adjacency(self) -> list[list[tuple[int, float]]]:
+        """Per node v, the (u, w) of its in-edges in edge order; an
+        undirected edge is an in-edge of both ends.  The ids must be valid."""
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
-        for u, v, w in self.edges:
+        for u, v, w in zip(self.u.tolist(), self.v.tolist(), self.w.tolist()):
             adj[v].append((u, w))
             if not self.directed:
                 adj[u].append((v, w))
         return adj
 
-    def in_degrees(self) -> list[int]:
-        deg = [0] * self.n_nodes
-        for _, v, _ in self.edges:
-            deg[v] += 1
-        return deg
+
+def _column(values, dtype) -> np.ndarray:
+    """`values` as a read-only one-dimensional `dtype` array, copied only
+    to cast it or make it contiguous; a cast that could change a value,
+    such as floats to int64, is refused."""
+    col = np.asarray(values)
+    if col.ndim != 1 or col.dtype != dtype and not np.can_cast(col.dtype, dtype):
+        raise ContractViolation(f"an edge column must be 1-d and castable to {np.dtype(dtype)}, "
+                                f"not {col.dtype} of shape {col.shape}")
+    col = np.ascontiguousarray(col, dtype).view()
+    col.flags.writeable = False
+    return col
+
+
+def _triple_columns(edges, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The u, v and w columns of (u, v, w) triples.  Ids that NumPy reads
+    as signed ints and weights it reads as float64 go through in one pass
+    per column; anything else, such as a float, an int past int64 or a
+    value of another type, is checked edge by edge against the rule of an
+    n-node graph, and the first bad edge is raised as `validate` names it,
+    with its values as given."""
+    try:
+        u, v, w = tuple(zip(*edges, strict=True)) or ((), (), ())
+    except ValueError:
+        raise ContractViolation("edges must be (u, v, w) triples") from None
+    try:
+        ids = np.array(u + v)
+        weights = np.array(w, np.float64)
+    except (OverflowError, TypeError, ValueError):
+        ids = None
+    if ids is None or ids.dtype.kind != "i" and len(ids):
+        for edge in zip(u, v, w):
+            error = _edge_error(*edge, n)
+            if error:
+                raise error
+        ids = np.array([operator.index(x) for x in u + v], np.int64)
+        weights = np.array(w, np.float64)
+    ids = ids.astype(np.int64, copy=False)
+    return ids[:len(u)], ids[len(u):], weights
 
 
 def save_edge_list(path, graph: WeightedGraph) -> None:
-    """Write `u v w` lines (the header comment records n and direction)."""
-    write_rows(path, graph.edges, {"nodes": graph.n_nodes, "directed": int(graph.directed)})
+    """Write `u v w` lines (the header comment records n and direction),
+    taking the rows from the columns _SAVE_ROWS at a time."""
+    cols = (graph.u, graph.v, graph.w)
+    rows = chain.from_iterable(zip(*(c[lo:lo + _SAVE_ROWS].tolist() for c in cols))
+                               for lo in range(0, len(graph.w), _SAVE_ROWS))
+    write_rows(path, rows, {"nodes": graph.n_nodes, "directed": int(graph.directed)})
 
 
-def _float_or_nan(x) -> float:
+def _edge_error(u, v, w, n: int) -> ContractViolation | None:
+    """The error naming the edge (u, v, w) of an n-node graph if it breaks
+    `_edges_ok`, or is not read as that rule reads it (an id that is not
+    an integer, a weight `float` refuses), else None.  Ids are checked
+    first."""
     try:
-        return float(x)
-    except OverflowError:
-        return math.nan
+        ids = operator.index(u), operator.index(v)
+    except TypeError:
+        return ContractViolation(f"edge ({u},{v}) has an id that is not an integer")
+    if not _edges_ok(*ids, 0.0, n):
+        return ContractViolation(f"edge ({u},{v}) has an id outside 0..{n - 1}")
+    try:
+        weight_ok = 0.0 <= float(w) < math.inf
+    except (OverflowError, TypeError, ValueError):
+        weight_ok = False
+    return None if weight_ok else ContractViolation(f"edge ({u},{v}) has bad weight {w}")
 
 
 def _edges_ok(u, v, w, n):
@@ -106,13 +203,15 @@ def _edges_valid(header, u, v, w) -> bool:
 
 def load_edge_list(path, directed: bool | None = None) -> WeightedGraph:
     """Read a graph; without a `# nodes N` header, n is 1 + the largest id."""
-    header, edges = read_fixed_rows(path, "u v w", _edge_row, (int, int, float), _edges_valid,
-                                    keys=("nodes", "directed"))
+    header, (u, v, w) = read_fixed_columns(path, "u v w", _edge_row, (int, int, float),
+                                           _edges_valid, keys=("nodes", "directed"))
     if "nodes" in header:
         n_nodes = header["nodes"]
     else:
-        n_nodes = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
-    return WeightedGraph(n_nodes, edges, bool(header.get("directed")) if directed is None else directed)
+        n_nodes = 1 + int(max(u.max(initial=-1), v.max(initial=-1)))
+    if directed is None:
+        directed = bool(header.get("directed"))
+    return WeightedGraph.from_columns(n_nodes, u, v, w, directed)
 
 
 class _CutBase(NamedTuple):
@@ -148,7 +247,12 @@ class CutMonitorObjective(ValueOracle):
         super().__init__()
         if graph.directed:
             raise ContractViolation("monitoring graphs are undirected")
-        cells = graph.validate()
+        graph.validate()
+        with np.errstate(over="ignore"):  # an overflowing sum reads inf, which is rejected
+            total = graph.w.sum()
+        if not total <= _CUT_WEIGHT_MAX:
+            raise ContractViolation(f"the edge weights sum to {total}, above {_CUT_WEIGHT_MAX}: "
+                                    "a cut value could overflow")
         self.graph = graph
         self.n = n = graph.n_nodes
         self._sparse = n >= _SPARSE_MIN_NODES
@@ -157,10 +261,10 @@ class CutMonitorObjective(ValueOracle):
             from scipy.sparse._sparsetools import csr_matvec  # the row kernel behind csr_matrix.dot
 
             self._matvec = csr_matvec
-            ids = cells[:, :2].astype(np.int64)
+            ends = np.stack([graph.u, graph.v], axis=1)
             # both orientations of each edge in turn: u v, v u, as COO entries
             self._adj = sp.csr_matrix(
-                (cells[:, 2].repeat(2), (ids.ravel(), ids[:, ::-1].ravel())),
+                (graph.w.repeat(2), (ends.ravel(), ends[:, ::-1].ravel())),
                 shape=(n, n),
             )
             # row u's [start, end) in the CSR arrays, for the row kernel, and

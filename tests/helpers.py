@@ -170,12 +170,15 @@ def fast_budget(n, r, eps):
     return n + 2 * n * (passes + 1)
 
 
-def edge_loop_validate(graph):
-    """`WeightedGraph.validate` as a loop over the edges, the reference for
-    its NumPy pass: the first edge with an id outside 0..n-1 or a weight
-    that is not a finite float64 >= 0 raises, its ids checked first."""
-    n = graph.n_nodes
-    for u, v, w in graph.edges:
+def edge_loop_validate(n, edges):
+    """`WeightedGraph(n, edges).validate()` as a loop over the (u, v, w)
+    triples as given, the reference for the columns and their NumPy pass:
+    the first edge with an id that is not an int, an id outside 0..n-1 or
+    a weight that is not a finite float64 >= 0 raises, its ids checked
+    first."""
+    for u, v, w in edges:
+        if not all(isinstance(x, (int, np.integer)) for x in (u, v)):
+            raise t.ContractViolation(f"edge ({u},{v}) has an id that is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise t.ContractViolation(f"edge ({u},{v}) has an id outside 0..{n - 1}")
         try:

@@ -1,10 +1,12 @@
 import hashlib
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 
 import twinopt as t
+import twinopt.certify as certify
 from twinopt.certify import (
     check_log_gains,
     check_pi_properties,
@@ -391,3 +393,14 @@ def test_certification_report_serializes():
     assert (payload["variant"], payload["epsilon"]) == ("threshold", 0.1)
     assert "pi_preimage_histogram" in payload
     assert len(payload["inequalities"]) == 6
+
+
+def test_certify_run_replays_the_log_once():
+    # classify, build_pi and check_pi_properties share one replay
+    graph, ground, oracle, constraint = helpers.cut_instance(9, seed=17000)
+    f, c = oracle(), constraint()
+    report = t.twin_greedy_fast(f, c, ground, 0.1)
+    opt = t.exact_max(oracle(), constraint(), ground)
+    with mock.patch.object(certify, "_replay", wraps=certify._replay) as replay:
+        cert = t.certify_run(f, c, report, opt.solution, opt.value)
+    assert replay.call_count == 1 and cert.ok

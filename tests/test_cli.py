@@ -554,6 +554,11 @@ BAD_INPUTS = {
         {"w.txt": "1e308\n1e308\n1.0\n"},
         ["run", "--algo", "twin", "--objective", "modular", "--weights-file", "@w.txt",
          "--constraint", "uniform:k=2"], "w.txt: modular weights must have a finite sum"),
+    **{f"cut-weights-sum-overflows-{n}-nodes": (
+        {"g.txt": f"# nodes {n} directed 0\n0 1 1e308\n0 2 1e308\n"},
+        ["run", "--algo", "twin", "--objective", "cut", "--graph", "@g.txt",
+         "--constraint", "uniform:k=2"], "g.txt: the edge weights sum to inf")
+       for n in (3, 200)},
     "modular-weight-not-a-number": (
         {"w.txt": "1.0\nabc\n"},
         ["run", "--algo", "twin", "--objective", "modular", "--weights-file", "@w.txt",

@@ -1,3 +1,4 @@
+import ast
 import copy
 import math
 import os
@@ -6,6 +7,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -116,43 +119,46 @@ def test_sparse_cut_adjacency_equals_the_edge_loop(case):
 
 def _bad_edges(n):
     """Edges that break the rule on n nodes: an id out of range on either
-    end or both, a weight negative, NaN or infinite, both at once, and an
-    id or a weight that is an int past float64's range."""
+    end or both, a weight negative, NaN or infinite, both at once, an id
+    or a weight that is an int past float64's range, and an id that is
+    not an integer."""
     return [(0, n, 1.0), (-1, 0, 1.0), (n + 7, -3, 0.0), (0, 1, -0.5), (1, 0, float("nan")),
-            (2, 2, float("inf")), (n, 0, -1.0), (0, 10**400, 0.5), (0, 1, 10**400)]
+            (2, 2, float("inf")), (n, 0, -1.0), (0, 10**400, 0.5), (0, 1, 10**400), (0, 1.5, 1.0),
+            (np.float64(2.0), 0, 1.0)]
 
 
 def _with_bad_edges(data, n, edges, min_size):
     """`edges` with between min_size and three bad edges put in at random places."""
     for edge in data.draw(st.lists(st.sampled_from(_bad_edges(n)), min_size=min_size, max_size=3)):
         edges.insert(data.draw(st.integers(0, len(edges))), edge)
-    return t.WeightedGraph(n, edges)
+    return edges
 
 
 @given(sparse_edge_lists(), st.data())
 def test_validate_equals_the_edge_loop(case, data):
     n, edges = case
-    graph = _with_bad_edges(data, n, edges, 0)
+    edges = _with_bad_edges(data, n, edges, 0)
     try:
-        helpers.edge_loop_validate(graph)
+        helpers.edge_loop_validate(n, edges)
     except t.ContractViolation as want:
+        # an edge the columns cannot hold is rejected as the graph is built
         with pytest.raises(t.ContractViolation) as got:
-            graph.validate()
+            t.WeightedGraph(n, edges).validate()
         assert str(got.value) == str(want)
     else:
-        cells = graph.validate()
-        assert cells.dtype == np.float64 and cells.shape == (len(edges), 3)
-        assert cells.tolist() == [[float(x) for x in edge] for edge in edges]
-
-
-@given(sparse_edge_lists(), st.data())
-def test_sparse_cut_rejects_the_first_bad_edge_as_validate_does(case, data):
-    n, edges = case
-    graph = _with_bad_edges(data, n, edges, 1)
-    with pytest.raises(t.ContractViolation) as want:
+        graph = t.WeightedGraph(n, edges)
         graph.validate()
+        assert graph.edges == [(int(u), int(v), float(w)) for u, v, w in edges]
+
+
+@pytest.mark.parametrize("n", [3, objmod._SPARSE_MIN_NODES + 8])
+@given(sparse_edge_lists(), st.data())
+def test_cut_rejects_the_first_bad_edge_as_validate_does(n, case, data):
+    edges = _with_bad_edges(data, n, [e for e in case[1] if max(e[:2]) < n], 1)
+    with pytest.raises(t.ContractViolation) as want:
+        helpers.edge_loop_validate(n, edges)
     with pytest.raises(t.ContractViolation) as got:
-        t.CutMonitorObjective(graph)
+        t.CutMonitorObjective(t.WeightedGraph(n, edges))
     assert str(got.value) == str(want.value)
 
 
@@ -863,6 +869,135 @@ def test_graph_validate_rejects_bad_edges():
         t.WeightedGraph(3, [(0, 1, 0.5), (0, 10**400, 0.5)]).validate()
     with pytest.raises(t.ContractViolation, match="has bad weight 1000"):
         t.WeightedGraph(3, [(0, 1, 0.5), (0, 1, 10**400)]).validate()
+
+
+def test_cut_rejects_ids_that_are_not_integers_on_both_paths():
+    # a float id used to raise TypeError on the list path and be truncated,
+    # here to the edge (0, 1), on the sparse path
+    for n in (3, objmod._SPARSE_MIN_NODES + 8):
+        for edge, shown in (((0, 1.5, 1.0), "(0,1.5)"), ((1.0, 0, 1.0), "(1.0,0)"),
+                            ((0, np.float64(2.0), 1.0), "(0,2.0)")):
+            with pytest.raises(t.ContractViolation, match=re.escape(f"edge {shown} has an id that "
+                                                                    "is not an integer")):
+                t.CutMonitorObjective(t.WeightedGraph(n, [(0, 2, 0.5), edge]))
+
+
+def test_graph_columns_refuse_a_cast_that_changes_values():
+    with pytest.raises(t.ContractViolation, match="int64"):
+        t.WeightedGraph.from_columns(3, np.array([0.0, 1.5]), np.array([1, 2]), np.ones(2))
+    with pytest.raises(t.ContractViolation, match="one entry per edge"):
+        t.WeightedGraph.from_columns(3, [0, 1], [1], [1.0, 1.0])
+    for edges in ([(0, 1)], [(0, 1, 1.0, 9)], [(0, 1, 1.0), (1, 2, 1.0, 9)], [(0, 1, 1.0), (1, 2)]):
+        with pytest.raises(t.ContractViolation, match=r"\(u, v, w\) triples"):
+            t.WeightedGraph(3, edges)
+
+
+@pytest.mark.parametrize("n", [3, objmod._SPARSE_MIN_NODES + 8])
+def test_cut_rejects_weights_whose_sum_could_overflow(n):
+    # a total at the bound is accepted; one ulp past it, or an overflowing one, is not
+    top = sys.float_info.max / 4
+    assert t.CutMonitorObjective(t.WeightedGraph(n, [(0, 1, top / 2), (0, 2, top / 2)])).n == n
+    for edges in ([(0, 1, 1e308), (0, 2, 1e308)], [(0, 1, top), (1, 2, math.ulp(top))],
+                  [(1, 1, 1e308)]):
+        with pytest.raises(t.ContractViolation, match="a cut value could overflow"):
+            t.CutMonitorObjective(t.WeightedGraph(n, edges))
+
+
+@st.composite
+def graph_triples(draw, valid=False):
+    """A node count and (u, v, w) triples the columns hold: int ids, in
+    range or not, and weights that are floats or ints below 2**53, finite
+    or not, negative or not; all valid edges if `valid`."""
+    n = draw(st.integers(1 if valid else 0, 300))
+    if valid:
+        ids = st.integers(0, n - 1)
+        weights = st.one_of(st.floats(0.0, allow_infinity=False), st.integers(0, 2**53))
+    else:
+        ids = st.integers(-3, n + 3)
+        weights = st.one_of(st.floats(allow_nan=False), st.integers(-2**53, 2**53))
+    return n, draw(st.lists(st.tuples(ids, ids, weights), max_size=draw(st.sampled_from([8, 400]))))
+
+
+@given(graph_triples(), st.booleans())
+def test_graph_columns_give_the_triples_back(case, directed):
+    n, edges = case
+    graph = t.WeightedGraph(n, edges, directed)
+    assert graph.edges == [(u, v, float(w)) for u, v, w in edges]
+    assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in graph.edges)
+    assert [c.dtype for c in (graph.u, graph.v, graph.w)] == [np.int64, np.int64, np.float64]
+    same = t.WeightedGraph.from_columns(n, graph.u, graph.v, graph.w, directed)
+    assert same == graph and not same != graph
+    assert t.WeightedGraph(n + 1, edges, directed) != graph
+    assert t.WeightedGraph(n, edges, not directed) != graph
+    assert t.WeightedGraph(n, edges + [(0, 0, 0.0)], directed) != graph
+    if edges:
+        moved = edges[:-1] + [(edges[-1][0], edges[-1][1], float(edges[-1][2]) + 1.0)]
+        assert (t.WeightedGraph(n, moved, directed) == graph) == (moved[-1][2] == edges[-1][2])
+        with pytest.raises(ValueError):
+            graph.w[0] = 1.0  # the columns are read-only, so graphs may share them
+
+
+@given(graph_triples(valid=True), st.booleans())
+def test_save_then_load_gives_the_graph_back(case, directed):
+    n, edges = case
+    graph = t.WeightedGraph(n, edges, directed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        save_edge_list(path, graph)
+        bulk = os.path.getsize(path) >= core._BULK_MIN_BYTES and len(edges) > 0
+        with mock.patch.object(core, "read_rows", wraps=core.read_rows) as per_line:
+            assert load_edge_list(path) == graph
+        assert per_line.called != bulk
+        with mock.patch.object(core, "_BULK_MIN_BYTES", math.inf):
+            assert load_edge_list(path) == graph
+
+
+def test_save_writes_rows_in_blocks_with_the_same_bytes(tmp_path):
+    rows = 2 * objmod._SAVE_ROWS + 3
+    graph = t.WeightedGraph(5, [(i % 5, (i * 3) % 5, i / 7) for i in range(rows)])
+    save_edge_list(tmp_path / "g.txt", graph)
+    want = "# nodes 5 directed 0\n" + "".join(f"{u} {v} {w}\n" for u, v, w in graph.edges)
+    assert (tmp_path / "g.txt").read_text() == want
+
+
+def test_criterion_8_cut_from_its_file_keeps_the_edges_as_columns(tmp_path):
+    # with a Python tuple per edge, 8.0 MB stayed live after this
+    path = tmp_path / "c8.txt"
+    save_edge_list(path, t.assign_weights_uniform(t.gen_er(1000, 0.1, 42), 0.0, 1.0, 43))
+    t.CutMonitorObjective(t.WeightedGraph(objmod._SPARSE_MIN_NODES, []))  # SciPy loaded untraced
+    tracemalloc.start()
+    try:
+        f = t.CutMonitorObjective(load_edge_list(path, directed=False))
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.graph.n_nodes == 1000 and len(f.graph.w) == 49929
+    assert live < 4.0 * 2**20, live
+
+
+def _loop_bodies(tree):
+    """Each loop's parts that run once per pass: a for loop's body and
+    else, a while loop's test too, and all of a comprehension but its
+    first iterable."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            yield from node.body + node.orelse
+        elif isinstance(node, ast.While):
+            yield from [node.test] + node.body + node.orelse
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            yield from [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            for k, gen in enumerate(node.generators):
+                yield from [gen.target, *gen.ifs] + ([gen.iter] if k else [])
+
+
+def test_no_package_function_reads_edges_in_a_loop():
+    # WeightedGraph.edges builds a list from the columns on every read
+    found = []
+    for path in sorted(Path(objmod.__file__).parent.glob("*.py")):
+        for part in _loop_bodies(ast.parse(path.read_text())):
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(part)
+                      if isinstance(node, ast.Attribute) and node.attr == "edges"]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
