@@ -74,19 +74,16 @@ class SeedMatroid(IndependenceOracle):
         self.m = m
         self.k = k
 
-    def node_of(self, e: int) -> int:
-        return e // self.m
-
     def empty_state(self):
         return (0, 0)  # (size, used-node mask)
 
     def _can_add(self, state, e):
         size, used = state
-        return size < self.k and not (used >> self.node_of(e)) & 1
+        return size < self.k and not (used >> e // self.m) & 1
 
     def add(self, state, e):
         size, used = state
-        return (size + 1, used | (1 << self.node_of(e)))
+        return (size + 1, used | (1 << e // self.m))
 
 
 class IntersectionSystem(IndependenceOracle):

@@ -11,7 +11,7 @@ import math
 import os
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,8 @@ def bitmask(ids) -> int:
 
 def members(mask: int) -> list[int]:
     """Element ids of a bitmask set, ascending."""
+    if mask < 0:
+        raise ContractViolation(f"a set mask must be >= 0, not {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -251,12 +253,18 @@ def write_rows(path, rows, header: dict[str, int] | None = None) -> None:
 # oracle contracts
 
 
-def _added(prev: int, mask: int, n: int) -> int:
-    """The id e < n with mask == prev + {e}, else -1."""
-    added = mask ^ prev
-    if added.bit_count() != 1 or not mask & added or added >> n:
-        return -1
-    return added.bit_length() - 1
+def _rejected(mask: int, n: int | None, e: int | None = None) -> ContractViolation:
+    """The error for a refused query, base or check: the set `mask`, or
+    `mask` plus the id e, is no set of ids in 0..n-1 (of ids >= 0 when n
+    is None)."""
+    if mask < 0:
+        return ContractViolation(f"a set mask must be >= 0, not {mask}")
+    if e is not None and (e < 0 or n is not None and e >= n):
+        ground = "ids >= 0" if n is None else f"size {n}"
+        return ContractViolation(f"element {e} outside the ground set of {ground}")
+    if e is not None and mask >> e & 1:
+        return ContractViolation(f"element {e} is already in the set")
+    return ContractViolation(f"set holds ids at or past the ground size {n}")
 
 
 class ValueOracle:
@@ -264,13 +272,16 @@ class ValueOracle:
 
     This is the one statement of the query contract every objective
     follows.  A subclass sets `n`, the ground size, and implements
-    `_value(mask)`, the value of a set of ids below n.  `evaluate` is the
-    only counted entry point: one call is one query, so a marginal gain
-    against a caller-cached base value costs exactly one query.  Oracles
-    hold no value caches of their own; solvers own theirs, which keeps the
-    query count attributable to the algorithm under test.  A set holding
-    an id at or past n is rejected with ContractViolation; an oracle whose
-    n is None states no ground size and takes any id.
+    `_value(mask)`, the value of a set of ids below n.  `evaluate(s, e)`
+    is the only counted entry point: it returns f(s), or f(s + {e}) when
+    an id e is given, and one call is one query, so a marginal gain
+    against a caller-cached value costs exactly one query.  Oracles hold
+    no value caches of their own; solvers own theirs, which keeps the
+    query count attributable to the algorithm under test.  A set is a
+    non-negative Python int mask.  A negative mask, a set holding an id at or
+    past n, and an e that is negative, at or past n or already in the set
+    are rejected with ContractViolation, and the query still counts; an
+    oracle whose n is None states no ground size and takes any id >= 0.
 
     The value rule: the approximation guarantees are for non-negative
     submodular f, so every answer, from `_value` or `_value_plus`, must
@@ -281,18 +292,20 @@ class ValueOracle:
     through `evaluate`, so none of them sees a value outside the rule and
     every gain they take is finite.
 
-    A solver that grows a set S one element at a time may ask for a
-    `base(S)` and pass it to `evaluate(S | 1 << e, base)`.  A base holds
-    work, not values: intermediate arrays from which an oracle evaluates a
-    one-element extension of S for less than a full evaluation, returning
-    exactly what `evaluate` without it returns.  Building a base is not a
-    query.  When the queried set is the base's set plus one id e below n,
-    `evaluate` answers `_value_plus(base, e)`; any other set, or no base,
-    is a full `_value`, so a based query is never wrong, only slower.
-    `base(S, prev)` grows `prev` by `_grow(prev, e)` when prev is the base
-    of S minus one id e, and otherwise builds `_new_base(S)`, which is None
-    by default: an oracle without bases answers every query in full.  A
-    base records its set as `base.mask`.
+    Bases.  A solver that grows a set S one element at a time keeps
+    `base(S)`, asks `evaluate(base, e)` for the ids e it weighs, and after
+    inserting one moves on to `grow(base, e)`, the base of S + {e}.  A base
+    holds work, not values: what the oracle needs to answer f(S + {e}) for
+    less than a full evaluation, and `evaluate(base, e)` returns exactly
+    what `evaluate(S, e)` returns.  Building or growing a base is not a
+    query and checks its set and e as `evaluate` does; `grow` leaves its
+    argument as it was, and `evaluate(base)` is f(S).  By default the
+    base of S is the mask S itself, so `evaluate(S, e)` is the full
+    evaluation `_value(S | 1 << e)`, with no object or call in between.
+    An oracle with cheaper extensions returns from `_new_base(mask)` an
+    object whose field `mask` is S, answers `_value_plus(base, e)`, and
+    may grow one in `_grow(base, e)` (by default `_new_base` of the grown
+    set); `evaluate` and `grow` tell it from a mask by its type.
 
     A based query may write into the base and restores it before it
     returns, also when it raises, so the base is left as it was found.
@@ -301,41 +314,58 @@ class ValueOracle:
     its cells in worker processes, each with its own copy.)
 
     The sparse-path cut (`CutMonitorObjective` from `_SPARSE_MIN_NODES`
-    nodes on) and `MarketingObjective` offer bases; the list-path cut,
-    `ModularObjective` and `CallableOracle` do not.  `CallableOracle`
-    follows the same contract, the value rule included.
+    nodes on) and `MarketingObjective` have base objects; the list-path
+    cut, `ModularObjective` and `CallableOracle` use the mask.
+    `CallableOracle` follows the same contract, the value rule included.
     """
 
     def __init__(self):
         self.query_count = 0
 
-    def evaluate(self, mask: int, base=None) -> float:
+    def evaluate(self, s, e: int | None = None) -> float:
         self.query_count += 1
-        e = -1 if base is None else _added(base.mask, mask, self.n)
-        if e < 0 and self.n is not None and mask >> self.n:
-            raise ContractViolation(f"set holds ids at or past the ground size {self.n}")
-        value = self._value_plus(base, e) if e >= 0 else self._value(mask)
+        if s.__class__ is int:
+            mask = s if e is None else s | 1 << e if e >= 0 else -1
+            # e < 0 or s < 0 gives a negative mask, which shifts to -1; e in s leaves s
+            if (mask >> self.n if self.n is not None else mask < 0) or e is not None and mask == s:
+                raise _rejected(s, self.n, e)
+            value = self._value(mask)
+        elif e is None:
+            value = self._value(s.mask)
+        elif 0 <= e < self.n and not s.mask >> e & 1:
+            value = self._value_plus(s, e)
+        else:
+            raise _rejected(s.mask, self.n, e)
         if 0.0 <= value < math.inf:
             return value
+        if s.__class__ is not int:  # the set of a based query, to name it
+            mask = s.mask if e is None else s.mask | 1 << e
         raise ContractViolation(f"f({members(mask)}) is {value}: a value must be finite and >= 0")
 
-    def base(self, mask: int, prev=None):
-        """An opaque base for the set `mask`, or None.  `prev` may be the
-        base of `mask` minus one element, to build this one from."""
-        if self.n is not None and mask >> self.n:
-            raise ContractViolation(f"set holds ids at or past the ground size {self.n}")
-        e = -1 if prev is None else _added(prev.mask, mask, self.n)
-        return self._grow(prev, e) if e >= 0 else self._new_base(mask)
+    def base(self, mask: int):
+        """The base of the set `mask`: the mask itself, or an oracle's
+        base object."""
+        if mask < 0 or self.n is not None and mask >> self.n:
+            raise _rejected(mask, self.n)
+        return self._new_base(mask)
+
+    def grow(self, base, e: int):
+        """The base of base's set plus the id e outside it; `base` is left
+        as it was."""
+        mask = base if base.__class__ is int else base.mask
+        if e < 0 or mask >> e & 1 or self.n is not None and e >= self.n:
+            raise _rejected(mask, self.n, e)
+        return mask | 1 << e if base is mask else self._grow(base, e)  # a mask is its own base
 
     def _value(self, mask: int) -> float:
         raise NotImplementedError
 
     def _new_base(self, mask: int):
-        return None
+        return mask
 
-    def _grow(self, prev, e: int):
-        """The base of prev's set plus e; by default built afresh."""
-        return self._new_base(prev.mask | 1 << e)
+    def _grow(self, base, e: int):
+        """The base object of base's set plus e; by default built afresh."""
+        return self._new_base(base.mask | 1 << e)
 
     def _value_plus(self, base, e: int) -> float:
         """f(base.mask + e) for an id e < n outside base.mask."""
@@ -345,8 +375,9 @@ class ValueOracle:
 class CallableOracle(ValueOracle):
     """Adapter turning a plain ``mask -> float`` function into an oracle.
 
-    It states no ground size (`n` is None): it accepts any id, offers no
-    base and is exempt from the solvers' ground-size check."""
+    It states no ground size (`n` is None): it accepts any id >= 0, its
+    base is the mask and it is exempt from the solvers' ground-size
+    check."""
 
     n = None
 
@@ -379,8 +410,8 @@ class IndependenceOracle:
         self.check_count = 0
 
     def is_independent(self, mask: int) -> bool:
-        if mask >> self.n:
-            raise ContractViolation("set contains ids outside the ground set")
+        if mask >> self.n:  # a negative mask shifts to -1
+            raise _rejected(mask, self.n)
         self.check_count += 1
         state = self.empty_state()
         for e in members(mask):
@@ -409,13 +440,7 @@ class LogEntry:
     threshold: float | None = None  # acceptance bar active at insertion, if any
 
     def to_dict(self) -> dict:
-        return {
-            "element": self.element,
-            "side": self.side,
-            "position": self.position,
-            "gain": self.gain,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 @dataclass

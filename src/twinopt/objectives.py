@@ -13,7 +13,7 @@ import operator
 import sys
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -290,9 +290,9 @@ class CutMonitorObjective(ValueOracle):
             rest ^= low
         return total
 
-    def _new_base(self, mask: int) -> _CutBase | None:
+    def _new_base(self, mask: int) -> _CutBase | int:
         if not self._sparse:
-            return None
+            return mask  # the list path answers every query in full
         raw = np.frombuffer(mask.to_bytes(self._nbytes, "little"), dtype=np.uint8)
         bits = np.unpackbits(raw, count=self.n, bitorder="little")
         ind = bits.astype(np.float64)
@@ -392,20 +392,17 @@ def pack_seed_id(node: int, product: int, m: int) -> int:
     return node * m + product
 
 
-def unpack_seed_id(e: int, m: int) -> tuple[int, int]:
-    return divmod(e, m)
-
-
 class _MarketingBase(NamedTuple):
     """Work behind the marketing value of one set: per product the RR sets
     its seeds hit and its spread term n * hits / |R_i|, the members in
-    ascending id, and the prefix sums of their costs in that order
+    ascending id, their costs in that order, and the prefix sums of those
     (pre[k] is the cost of the first k members, pre[0] = 0.0)."""
 
     mask: int
     hit: list[int]
     terms: list[float]
     ids: list[int]
+    cs: list[float]
     pre: list[float]
 
 
@@ -458,39 +455,33 @@ class MarketingObjective(ValueOracle):
         self._sampled = [len(c.sets) for c in collections]
 
     def _value(self, mask: int) -> float:
+        # a product that covers no set adds exactly 0.0, so summing every
+        # product's term gives rr_estimate's value bit for bit
         full = self._new_base(mask)
-        return self._total(full.terms, full.pre[-1]) if mask else 0.0
+        return left_sum(full.terms) + (self.budget - full.pre[-1]) if mask else 0.0
 
     def _new_base(self, mask: int) -> _MarketingBase:
-        """The base of `mask`, built afresh: one pass over the members, about
-        what growing a base by one element would cost, so growth is this."""
+        """The base of `mask`, built afresh from its members: about what
+        growing a base by one element would cost, so growth is this."""
         hit = [0] * self.m  # per product, the RR sets its seeds cover
         ids = members(mask)
-        pre = [0.0]
         for e in ids:
-            u, i = unpack_seed_id(e, self.m)
+            u, i = divmod(e, self.m)
             hit[i] |= self._covers[i][u]
-            pre.append(pre[-1] + self.costs[u])
-        terms = [self._term(i, h) for i, h in enumerate(hit)]
-        return _MarketingBase(mask, hit, terms, ids, pre)
+        cs = [self.costs[e // self.m] for e in ids]
+        pre = list(accumulate(cs, initial=0.0))  # added left to right
+        terms = [self.n_nodes * h.bit_count() / sampled for h, sampled in zip(hit, self._sampled)]
+        return _MarketingBase(mask, hit, terms, ids, cs, pre)
 
     def _value_plus(self, base: _MarketingBase, e: int) -> float:
-        u, i = divmod(e, self.m)  # unpack_seed_id, without the call on the query path
+        # the term is `_new_base`'s, written out: a query takes a few microseconds
+        u, i = divmod(e, self.m)
         terms = base.terms.copy()
-        terms[i] = self._term(i, base.hit[i] | self._covers[i][u])
+        terms[i] = self.n_nodes * (base.hit[i] | self._covers[i][u]).bit_count() / self._sampled[i]
         k = bisect(base.ids, e)
         cost = base.pre[k] + self.costs[u]
-        for v in base.ids[k:]:  # the members after e, in the order `base` adds them
-            cost += self.costs[v // self.m]
-        return self._total(terms, cost)
-
-    def _term(self, i: int, hit: int) -> float:
-        return self.n_nodes * hit.bit_count() / self._sampled[i]
-
-    def _total(self, terms: list[float], cost: float) -> float:
-        """f of a non-empty set from its per-product terms and its cost.  A
-        product that covers no set adds exactly 0.0, so summing every
-        product gives rr_estimate's value bit for bit."""
+        for c in base.cs[k:]:  # the members after e, in the order `base` adds them
+            cost += c
         return left_sum(terms) + (self.budget - cost)
 
 

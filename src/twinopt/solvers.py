@@ -19,13 +19,14 @@ stated 1e-9 tolerance.  In exact arithmetic (e.g. dyadic weights) the
 runs coincide bit for bit.  The sampled baseline is deliberately the
 textbook scan-everything greedy.
 
-The greedy solvers keep one oracle base per side (`ValueOracle.base`)
-and pass it positionally to every `evaluate` of a one-element extension
-of that side, refreshing it after each insertion.  By the `ValueOracle`
-contract such a query counts once, returns what a plain `evaluate`
+The greedy solvers keep one oracle base per side (`ValueOracle.base`),
+ask for f(S + {e}) as `evaluate(base, e)`, positionally, and after
+inserting e move that side on to `grow(base, e)`.  By the `ValueOracle`
+contract such a query counts once, returns what `evaluate(S, e)`
 returns and leaves its base as it found it, so logs, values and query
-counts do not depend on whether an oracle offers bases, and the two
-sides may start from one shared base of the empty set.
+counts do not depend on what an oracle's bases hold (the mask itself,
+for most), and the two sides may start from one shared base of the
+empty set.
 
 Every solver and `exact_max` first check that the ground set, the
 constraint and the oracle state one size.  They read values only through
@@ -110,9 +111,7 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
     the run stop early, which is not detected.
     """
     start = _start(f, constraint)
-    n = ground.n
     f_empty = _empty_value(f, constraint, ground)
-    s = [0, 0]
     fval = [f_empty, f_empty]
     states = [constraint.empty_state(), constraint.empty_state()]
     bases = [f.base(0)] * 2  # a query leaves a base as it found it, so both sides may share one
@@ -121,10 +120,9 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
 
     # both sides are empty, so singleton gains are shared between them
     heap = []
-    empty_state = constraint.empty_state()
-    for e in range(n):
-        if constraint.can_add(empty_state, e):
-            val = f.evaluate(1 << e, bases[0])
+    for e in range(ground.n):
+        if constraint.can_add(states[0], e):
+            val = f.evaluate(bases[0], e)
             gain = val - f_empty
             heap.append((-gain, 0, e, 0, val))
             heap.append((-gain, 1, e, 0, val))
@@ -138,21 +136,20 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
         if not constraint.can_add(states[i], e):
             continue  # a grown side never becomes feasible again
         if ver != versions[i]:
-            val = f.evaluate(s[i] | (1 << e), bases[i])
+            val = f.evaluate(bases[i], e)
             heapq.heappush(heap, (fval[i] - val, i, e, versions[i], val))
             continue
         gain = -neg_gain
         if gain <= 0:
             break
         log.append(element=e, side=i + 1, gain=gain)
-        s[i] |= 1 << e
         fval[i] = val  # val is the oracle's own output for the grown side
         states[i] = constraint.add(states[i], e)
-        bases[i] = f.base(s[i], bases[i])
+        bases[i] = f.grow(bases[i], e)
         versions[i] += 1
         selected |= 1 << e
 
-    return _report("twin_greedy", ground, {"tie_break": TIE_BREAK}, s, fval, log,
+    return _report("twin_greedy", ground, {"tie_break": TIE_BREAK}, log.replay(), fval, log,
                    f, constraint, start)
 
 
@@ -183,7 +180,6 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     n = ground.n
     f_empty = _empty_value(f, constraint, ground)
     log = InsertionLog()
-    s = [0, 0]
     fval = [f_empty, f_empty]
     params: dict = {"epsilon": epsilon, "tie_break": TIE_BREAK}
 
@@ -192,12 +188,12 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     singleton = [-math.inf] * n
     for e in range(n):
         if constraint.can_add(states[0], e):
-            singleton[e] = f.evaluate(1 << e, bases[0])
+            singleton[e] = f.evaluate(bases[0], e)
     tau_max = float(max(singleton, default=-math.inf))  # -inf: no feasible singleton
     params["tau_max"] = None if tau_max < 0.0 else tau_max
     if tau_max <= 0.0:
         params.update(passes=0, tau_min=None, rank=None)
-        return _report("twin_greedy_fast", ground, params, s, fval, log, f, constraint, start)
+        return _report("twin_greedy_fast", ground, params, (0, 0), fval, log, f, constraint, start)
 
     # r is the size of the greedy base in id order: the rank for a matroid,
     # and within a factor p of every base of a p-set system, so an optimal
@@ -226,31 +222,30 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
                 if not constraint.can_add(states[i], e):
                     bounds[i][e] = -math.inf
                     continue
-                val = f.evaluate(s[i] | (1 << e), bases[i])
+                val = f.evaluate(bases[i], e)
                 gain = val - fval[i]
                 bounds[i][e] = gain
                 if gain > best_gain:  # strict keeps side 1 on ties
                     best_gain, best_side, best_val = gain, i, val
             if best_gain >= tau:
                 log.append(element=e, side=best_side + 1, gain=best_gain, threshold=tau)
-                s[best_side] |= 1 << e
                 fval[best_side] = best_val
                 states[best_side] = constraint.add(states[best_side], e)
-                bases[best_side] = f.base(s[best_side], bases[best_side])
+                bases[best_side] = f.grow(bases[best_side], e)
                 continue
             # both bounds are below tau: wait for the next bar the larger reaches
             top = max(bounds[0][e], bounds[1][e])
             if top >= tau_min:
                 due[bisect_left(neg, -top, j + 1)].append(e)
 
-    return _report("twin_greedy_fast", ground, params, s, fval, log, f, constraint, start)
+    return _report("twin_greedy_fast", ground, params, log.replay(), fval, log, f, constraint,
+                   start)
 
 
 def _single_greedy(algorithm, f, constraint, ground, candidates, parameters,
                    start) -> RunReport:
     """Textbook single-set greedy: full rescans, positive-gain stopping."""
     f_empty = _empty_value(f, constraint, ground)
-    sol = 0
     fcur = f_empty
     state = constraint.empty_state()
     base = f.base(0)
@@ -265,21 +260,20 @@ def _single_greedy(algorithm, f, constraint, ground, candidates, parameters,
             if not constraint.can_add(state, e):
                 continue  # infeasible for good; drop from future rounds
             alive.append(e)
-            val = f.evaluate(sol | (1 << e), base)
+            val = f.evaluate(base, e)
             gain = val - fcur
             if gain > best_gain:  # ascending scan keeps the lowest id on ties
                 best_e, best_gain, best_val = e, gain, val
         if best_e < 0 or best_gain <= 0:
             break
         log.append(element=best_e, side=1, gain=best_gain)
-        sol |= 1 << best_e
         fcur = best_val
         state = constraint.add(state, best_e)
-        base = f.base(sol, base)
+        base = f.grow(base, best_e)
         alive.remove(best_e)
         remaining = alive
 
-    return _report(algorithm, ground, parameters, [sol, 0], [fcur, f_empty], log,
+    return _report(algorithm, ground, parameters, log.replay(), [fcur, f_empty], log,
                    f, constraint, start)
 
 

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -32,7 +35,7 @@ def test_query_counter_increments_once_per_evaluate():
 
 
 class _BasedCount(t.ValueOracle):
-    """|S| over 0..3, with bases; a based query answers `plus`."""
+    """|S| over 0..3, with base objects; a based query answers `plus`."""
 
     def __init__(self, plus):
         super().__init__()
@@ -52,11 +55,48 @@ class _BasedCount(t.ValueOracle):
 def test_based_query_follows_the_value_rule(bad):
     f = _BasedCount(bad)
     base = f.base(0b001)
-    assert f.evaluate(0b011) == 2.0 and f.evaluate(0b110, base) == 2.0  # not an extension
+    assert f.evaluate(0b011) == 2.0 and f.evaluate(base) == 1.0 and f.evaluate(0b001, 1) == 2.0
     with pytest.raises(t.ContractViolation, match=re.escape(f"f([0, 1]) is {bad}: a value must")):
-        f.evaluate(0b011, base)
-    assert f.query_count == 3
-    assert _BasedCount(0.0).evaluate(0b011, base) == 0.0
+        f.evaluate(base, 1)
+    assert f.query_count == 4
+    assert _BasedCount(0.0).evaluate(base, 1) == 0.0
+
+
+# a negative mask used to send members()'s `mask & -mask` loop round for
+# ever, also from the value rule's message; run in a child with a timeout,
+# so a hang fails the test instead of stalling the suite
+NEGATIVE_MASK = """
+import twinopt as t
+for query in (lambda: t.CallableOracle(lambda mask: -1.0).evaluate(-3), lambda: t.members(-3)):
+    try:
+        query()
+    except t.ContractViolation as exc:
+        print(exc)
+"""
+
+
+def test_a_negative_mask_is_rejected_not_looped_over():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", NEGATIVE_MASK], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert run.stdout == "a set mask must be >= 0, not -3\n" * 2
+
+
+@pytest.mark.parametrize("mask", [-1, -3, -(1 << 70)])
+def test_negative_masks_are_no_sets(mask):
+    error = re.escape(f"a set mask must be >= 0, not {mask}")
+    oracles = [CallableOracle(float), t.ModularObjective([1.0, 2.0]), _BasedCount(0.0)]
+    for f in oracles:
+        with pytest.raises(t.ContractViolation, match=error):
+            f.evaluate(mask)
+        with pytest.raises(t.ContractViolation, match=error):
+            f.evaluate(mask, 1)
+        with pytest.raises(t.ContractViolation, match=error):
+            f.base(mask)
+        assert f.query_count == 2
+    with pytest.raises(t.ContractViolation, match=error):
+        t.UniformMatroid(4, 2).is_independent(mask)
 
 
 def test_submodularity_check_accepts_weighted_cut():

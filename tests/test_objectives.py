@@ -212,8 +212,8 @@ def test_based_cut_query_is_bit_identical_to_full_evaluation(case):
     q0 = f.query_count
     full = f.evaluate(s | 1 << e)
     assert f.query_count == q0 + 1
-    assert f.evaluate(s | 1 << e, base) == full  # exact, not approx
-    assert f.query_count == q0 + 2
+    assert f.evaluate(base, e) == f.evaluate(s, e) == full  # exact, not approx
+    assert f.query_count == q0 + 3
     assert _same_base(_base_arrays(base), before)
     assert full == pytest.approx(helpers.naive_cut(f.graph, s | 1 << e), abs=1e-9)
 
@@ -225,9 +225,12 @@ def test_grown_cut_base_equals_a_fresh_one(case, k):
     rng = random.Random(k)
     outside = [u for u in range(f.n) if not (s >> u) & 1]
     for u in rng.sample(outside, min(k, len(outside))):
-        assert f.evaluate(s | 1 << u, base) == f.evaluate(s | 1 << u)
+        assert f.evaluate(base, u) == f.evaluate(s | 1 << u)
         s |= 1 << u
-        base = f.base(s, base)
+        before = _base_arrays(base)
+        grown = f.grow(base, u)
+        assert _same_base(_base_arrays(base), before)
+        base = grown
     assert _same_base(_base_arrays(base), _base_arrays(f.base(s)))
 
 
@@ -235,7 +238,7 @@ def test_grown_cut_base_equals_a_fresh_one(case, k):
 def test_a_cut_base_shared_by_two_sides_is_left_unchanged(case, steps):
     """As the twin solvers start: two sides share one base and query it in
     turn, first both with e, a side that inserts grows its own base from
-    its old one, and a rejected query (an id past n) follows every query.
+    its old one, and a rejected query (the id n) follows every query.
     Every answer is the full evaluation's, exactly, and the shared base
     keeps its bits throughout."""
     f, s, e = case
@@ -248,11 +251,11 @@ def test_a_cut_base_shared_by_two_sides_is_left_unchanged(case, steps):
             break
         i, u = k % 2, e if k < 2 else free[pick % len(free)]
         grown = sides[i] | 1 << u
-        assert f.evaluate(grown, bases[i]) == f.evaluate(grown)
+        assert f.evaluate(bases[i], u) == f.evaluate(grown)
         with pytest.raises(t.ContractViolation):
-            f.evaluate(sides[i] | 1 << f.n, bases[i])
+            f.evaluate(bases[i], f.n)
         if insert:
-            sides[i], bases[i] = grown, f.base(grown, bases[i])
+            sides[i], bases[i] = grown, f.grow(bases[i], u)
         assert _same_base(_base_arrays(shared), before)
     for side, base in zip(sides, bases):
         assert _same_base(_base_arrays(base), _base_arrays(f.base(side)))
@@ -265,9 +268,9 @@ def test_a_failed_based_cut_query_leaves_the_base_unchanged():
     before = _base_arrays(base)
     with mock.patch.object(f, "_redo_rows", side_effect=MemoryError):
         with pytest.raises(MemoryError):
-            f.evaluate(0b11, base)
+            f.evaluate(base, 1)
     assert _same_base(_base_arrays(base), before)
-    assert f.evaluate(0b11, base) == f.evaluate(0b11) == 0.25
+    assert f.evaluate(base, 1) == f.evaluate(0b11) == 0.25
 
 
 def test_csr_matvec_adds_into_out_and_skips_a_descending_span():
@@ -342,55 +345,33 @@ def test_scipy_loads_only_with_a_sparse_cut():
     assert _scipy_steps(SCIPY_HELP) == [["help", "False"]]
 
 
-def _off_extensions(f, s, e):
-    """Sets near s + e, none of them s + e plus one id: s + e itself, s,
-    nothing, e swapped for an id outside s + e, and two such ids added."""
-    grown = s | 1 << e
-    free = [u for u in range(f.n) if not (grown >> u) & 1]
-    masks = [grown, s, 0]
-    if free:
-        masks.append(s | 1 << free[0])
-    if len(free) > 1:
-        masks.append(grown | 1 << free[0] | 1 << free[-1])
-    assert all(core._added(grown, mask, f.n) < 0 for mask in masks)
-    return masks
-
-
-@given(cut_cases())
-def test_based_cut_query_off_an_extension_falls_back(case):
-    f, s, e = case
-    base = f.base(s | 1 << e)
-    for mask in _off_extensions(f, s, e):
-        q0 = f.query_count
-        assert f.evaluate(mask, base) == f.evaluate(mask)
-        assert f.query_count == q0 + 2
-
-
 @given(cut_cases())
 def test_based_cut_query_rejects_ids_past_the_nodes(case):
     f, s, e = case
     base = f.base(s)
-    for mask in (s | 1 << f.n, s | 1 << e | 1 << (f.n + 5)):
+    for bad in (f.n, f.n + 5):
         with pytest.raises(t.ContractViolation):
-            f.evaluate(mask, base)
+            f.evaluate(base, bad)
         with pytest.raises(t.ContractViolation):
-            f.evaluate(mask)
+            f.evaluate(s | 1 << e, bad)
+        with pytest.raises(t.ContractViolation):
+            f.grow(base, bad)
+    with pytest.raises(t.ContractViolation):
+        f.evaluate(s | 1 << f.n)
     with pytest.raises(t.ContractViolation):
         f.base(s | 1 << f.n)
-    with pytest.raises(t.ContractViolation):
-        f.base(s | 1 << f.n, base)
 
 
-def test_only_the_sparse_cut_and_marketing_offer_a_base():
+def test_the_base_is_the_mask_but_for_the_sparse_cut_and_marketing():
     small = t.CutMonitorObjective(t.WeightedGraph(5, [(0, 1, 1.0)]))
     oracles = [small, t.ModularObjective([1.0, 2.0]),
                helpers.CoverageObjective([1.0], [0b1, 0b0])]
     for f in oracles:
-        assert f.base(0) is None and f.base(0b1, f.base(0)) is None
-        assert f.evaluate(0b1, None) == f.evaluate(0b1)
+        assert f.base(0) == 0 and f.grow(f.base(0), 1) == 0b10
+        assert f.evaluate(f.base(0), 0) == f.evaluate(0b1)
     sparse = t.CutMonitorObjective(t.WeightedGraph(objmod._SPARSE_MIN_NODES, [(0, 1, 1.0)]))
     marketing = t.MarketingObjective([t.RRSetCollection(2, [0b01])], [0.5, 1.0])
-    assert sparse.base(0) is not None and marketing.base(0) is not None
+    assert sparse.base(0).mask == 0 and marketing.base(0).mask == 0
 
 
 def test_cut_rejects_directed_graph():
@@ -539,8 +520,8 @@ def test_based_marketing_query_is_bit_identical_to_full_evaluation(case, seed):
         for e in _outside(f, s, rng):
             q0 = f.query_count
             full = f.evaluate(s | 1 << e)
-            assert f.evaluate(s | 1 << e, base) == full == _marketing_reference(f, s | 1 << e)
-            assert f.query_count == q0 + 2
+            assert f.evaluate(base, e) == f.evaluate(s, e) == full == _marketing_reference(f, s | 1 << e)
+            assert f.query_count == q0 + 3
         assert base == before
 
 
@@ -555,23 +536,13 @@ def test_grown_marketing_base_equals_a_fresh_one(case, k):
             if not outside:
                 break
             u = outside[-1]
-            assert f.evaluate(s | 1 << u, base) == f.evaluate(s | 1 << u)
+            assert f.evaluate(base, u) == f.evaluate(s | 1 << u)
             s |= 1 << u
-            base = f.base(s, base)
+            before = copy.deepcopy(base)
+            grown = f.grow(base, u)
+            assert base == before
+            base = grown
         assert base == f.base(s)
-
-
-@given(marketing_instances(), st.integers(0, 2**32 - 1))
-def test_based_marketing_query_off_an_extension_falls_back(case, seed):
-    f, masks = case
-    rng = random.Random(seed)
-    s = masks[0]
-    for e in _outside(f, s, rng):
-        base = f.base(s | 1 << e)
-        for mask in _off_extensions(f, s, e):
-            q0 = f.query_count
-            assert f.evaluate(mask, base) == f.evaluate(mask)
-            assert f.query_count == q0 + 2
 
 
 @given(marketing_instances())
@@ -579,78 +550,114 @@ def test_based_marketing_query_rejects_ids_past_the_range(case):
     f, masks = case
     s = masks[0]
     base = f.base(s)
+    for bad in (f.n, f.n + 5):
+        with pytest.raises(t.ContractViolation):
+            f.evaluate(base, bad)
+        with pytest.raises(t.ContractViolation):
+            f.grow(base, bad)
     for mask in (s | 1 << f.n, 1 << f.n, s | 1 << (f.n - 1) | 1 << (f.n + 5)):
         with pytest.raises(t.ContractViolation):
-            f.evaluate(mask, base)
-        with pytest.raises(t.ContractViolation):
             f.evaluate(mask)
-    with pytest.raises(t.ContractViolation):
-        f.base(s | 1 << f.n)
-    with pytest.raises(t.ContractViolation):
-        f.base(s | 1 << f.n, base)
+        with pytest.raises(t.ContractViolation):
+            f.base(mask)
 
 
 @st.composite
 def contract_cases(draw, kind):
-    """An oracle of one kind that states its ground size n, a set s and an
-    id e < n outside s: a cut on either path (`cut_cases`), marketing
-    (`marketing_instances`), modular or coverage."""
+    """An oracle of one kind, a set s and an id e outside s: a cut on
+    either path (`cut_cases`), marketing (`marketing_instances`), modular,
+    coverage, or a `CallableOracle`, which states no n (e and s below
+    2**80)."""
     if kind in ("list cut", "sparse cut"):
         return draw(cut_cases(sparse=kind == "sparse cut"))
     if kind == "marketing":
         f = draw(marketing_instances())[0]
     elif kind == "modular":
         f = t.ModularObjective(draw(st.lists(st.floats(0, 10), min_size=1, max_size=70)))
-    else:
+    elif kind == "coverage":
         items = draw(st.integers(1, 12))
         covers = draw(st.lists(st.integers(0, (1 << items) - 1), min_size=1, max_size=70))
         weights = draw(st.lists(st.floats(0, 5), min_size=items, max_size=items))
         f = helpers.CoverageObjective(weights, covers)
-    e = draw(st.integers(0, f.n - 1))
-    return f, draw(st.integers(0, (1 << f.n) - 1)) & ~(1 << e), e
+    else:
+        f = t.CallableOracle(lambda mask: mask.bit_count() / 3)
+    n = 80 if f.n is None else f.n
+    e = draw(st.integers(0, n - 1))
+    return f, draw(st.integers(0, (1 << n) - 1)) & ~(1 << e), e
 
 
 def _snapshot(base):
-    """A deep copy of a base's fields, none for no base, for `_same_base`."""
-    return () if base is None else copy.deepcopy(tuple(base))
+    """A deep copy of a base's fields (a mask: itself), for `_same_base`."""
+    return (base,) if isinstance(base, int) else copy.deepcopy(tuple(base))
 
 
-@pytest.mark.parametrize("kind", ["list cut", "sparse cut", "marketing", "modular", "coverage"])
+ORACLE_KINDS = ["list cut", "sparse cut", "marketing", "modular", "coverage", "callable"]
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
 @given(st.data())
 def test_every_oracle_keeps_the_query_contract(kind, data):
-    """The `ValueOracle` contract on every oracle that states n: a based
-    query of a one-element extension and of any other set equals the plain
-    query, exactly; every query counts one, also a rejected one, and
-    building a base counts none; ids at or past n are rejected by
-    `evaluate` and `base`, with or without a base; and a based query leaves
-    its base bit for bit as it was."""
+    """The `ValueOracle` contract on every oracle: `evaluate(base, e)`
+    equals `evaluate(s, e)` and `evaluate(s | 1 << e)` exactly, and leaves
+    its base bit for bit as it was; `evaluate(base)` is f(s); `grow(base,
+    e)` equals `base(s | 1 << e)` and leaves its argument as it was.
+    Every query counts one, a rejected one too; building or growing a
+    base counts none."""
     f, s, e = data.draw(contract_cases(kind))
     base = f.base(s)
     before = _snapshot(base)
-    grown = s | 1 << e
-    for mask in [grown] + _off_extensions(f, s, e):
-        q0 = f.query_count
-        assert f.evaluate(mask, base) == f.evaluate(mask)
-        assert f.query_count == q0 + 2
-    for mask in (s | 1 << f.n, grown | 1 << (f.n + 3), 1 << f.n):
-        for based in (None, base):
-            q0 = f.query_count
-            with pytest.raises(t.ContractViolation, match="at or past the ground size"):
-                f.evaluate(mask, based)
-            assert f.query_count == q0 + 1
-            with pytest.raises(t.ContractViolation, match="at or past the ground size"):
-                f.base(mask, based)
     q0 = f.query_count
-    assert _same_base(_snapshot(f.base(grown, base)), _snapshot(f.base(grown)))
-    assert f.query_count == q0
+    assert f.evaluate(base, e) == f.evaluate(s, e) == f.evaluate(s | 1 << e)
+    assert f.evaluate(base) == f.evaluate(s)
+    assert f.query_count == q0 + 5
     assert _same_base(_snapshot(base), before)
+    grown = f.grow(base, e)
+    assert _same_base(_snapshot(grown), _snapshot(f.base(s | 1 << e)))
+    assert _same_base(_snapshot(base), before)
+    assert f.query_count == q0 + 5
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@given(st.data())
+def test_every_oracle_rejects_bad_ids_and_sets(kind, data):
+    """`evaluate` on a base or a mask and `grow` reject an e already in
+    the set, -1 and, on an oracle that states n, n itself; `evaluate` and
+    `base` reject a negative set and a set with an id at or past n.  A
+    rejected query counts one; a rejected base or growth counts none.
+    Each rejection leaves the base as it was."""
+    f, s, e = data.draw(contract_cases(kind))
+    base, bigger = f.base(s), f.base(s | 1 << e)
+    before = _snapshot(base), _snapshot(bigger)
+    bad_ids = [(bigger, e, "already in the set"), (s | 1 << e, e, "already in the set"),
+               (base, -1, "outside the ground set"), (s, -1, "outside the ground set")]
+    bad_sets = [-1, -(1 << 90) | s]
+    if f.n is not None:
+        bad_ids += [(base, f.n, "outside the ground set"), (s, f.n, "outside the ground set")]
+        bad_sets += [s | 1 << f.n, s | 1 << e | 1 << (f.n + 3), 1 << f.n]
+    for at, bad, error in bad_ids:
+        q0 = f.query_count
+        with pytest.raises(t.ContractViolation, match=error):
+            f.evaluate(at, bad)
+        with pytest.raises(t.ContractViolation, match=error):
+            f.grow(at, bad)
+        assert f.query_count == q0 + 1
+    for mask in bad_sets:
+        error = "must be >= 0" if mask < 0 else "at or past the ground size"
+        q0 = f.query_count
+        with pytest.raises(t.ContractViolation, match=error):
+            f.evaluate(mask)
+        with pytest.raises(t.ContractViolation, match=error):
+            f.base(mask)
+        assert f.query_count == q0 + 1
+    assert _same_base(_snapshot(base), before[0]) and _same_base(_snapshot(bigger), before[1])
 
 
 @given(st.integers(0, 2**80), st.integers(0, 80))
-def test_callable_oracle_accepts_any_id_and_offers_no_base(s, e):
+def test_callable_oracle_accepts_any_id_and_its_base_is_the_mask(s, e):
     f = t.CallableOracle(lambda mask: mask.bit_count() / 3)
-    assert f.n is None and f.base(s) is None and f.base(s | 1 << e, f.base(s)) is None
-    assert f.evaluate(s | 1 << e, None) == f.evaluate(s | 1 << e) == (s | 1 << e).bit_count() / 3
+    s &= ~(1 << e)
+    assert f.n is None and f.base(s) == s and f.grow(s, e) == s | 1 << e
+    assert f.evaluate(s, e) == f.evaluate(s | 1 << e) == (s | 1 << e).bit_count() / 3
     assert f.query_count == 2
 
 
