@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -58,6 +59,19 @@ def left_sum(values):
     for v in values:
         total += v
     return total
+
+
+def sum_error(k: int, total: float) -> float:
+    """A float at least γ_k·T, where γ_k = k·u/(1 − k·u) with u = 2^-53,
+    for the exact total T of any non-negative terms whose float sum is
+    `total` and takes at most k roundings on each term's way: the sum's
+    error bound, |total − T| <= γ_k·T (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., §3.1 and §4.2), turned into one that
+    the float total gives.  Such a T is at most (1 + γ_k)·total <= 2·total
+    and γ_k <= 2k·u while k·u <= 1/4, so γ_k·T <= k·2^-51·total; the
+    product below is twice that, which covers its own rounding, and the
+    least normal float is added to cover its underflow."""
+    return k * 2.0**-50 * total + sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -317,7 +331,19 @@ class ValueOracle:
     nodes on) and `MarketingObjective` have base objects; the list-path
     cut, `ModularObjective` and `CallableOracle` use the mask.
     `CallableOracle` follows the same contract, the value rule included.
+
+    The error bound.  An oracle may state `value_error`, a float δ with
+    |F(X) − f(X)| <= δ for every set X, where F(X) is the value `evaluate`
+    returns and f is an exactly submodular function.  `exact_max` prunes
+    its search by the submodular bound only for an oracle that states
+    one, and allows (2k + 2)·δ in a bound that sums k gains.  The cut
+    states γ_{n+2m}·2W (m edges of weight total W) and
+    `ModularObjective` γ_n·Σw, each through `sum_error`;
+    `MarketingObjective`, `CallableOracle` and an oracle that does not
+    set it state none (None).
     """
+
+    value_error: float | None = None
 
     def __init__(self):
         self.query_count = 0

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (MAX_HEADER_COUNT, ContractViolation, ValueOracle, bitmask, left_sum, members,
-                   read_dense, read_fixed_columns, read_rows, write_rows)
+                   read_dense, read_fixed_columns, read_rows, sum_error, write_rows)
 
 # below this many nodes a Python adjacency scan beats the sparse matvec;
 # SciPy is imported by the first cut built at or above it
@@ -241,6 +241,14 @@ class CutMonitorObjective(ValueOracle):
     taken as before, so the value is the full evaluation's bit for bit.
     A based query writes e into the base's vectors and restores them
     before it returns, so the base is left as it was found.
+
+    Its error bound (`ValueOracle.value_error`) is γ_{n+2m}·2W for m
+    edges of weight total W.  Every value is a sum of edge weights, each
+    at most twice, with no rounding but that of the additions: a product
+    by 0 or 1 is exact.  The list path adds at most 2m adjacency entries
+    in turn; the sparse path sums each row's entries, each a weight or a
+    sum of parallel ones, and then the n products of the dot in any
+    order, so no weight meets more than n + 2m roundings on its way.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -255,6 +263,7 @@ class CutMonitorObjective(ValueOracle):
                                     "a cut value could overflow")
         self.graph = graph
         self.n = n = graph.n_nodes
+        self.value_error = sum_error(n + 2 * len(graph.w), 2.0 * float(total))
         self._sparse = n >= _SPARSE_MIN_NODES
         if self._sparse:
             import scipy.sparse as sp
@@ -507,16 +516,20 @@ class ModularObjective(ValueOracle):
     """f(S) = sum of per-element weights, each finite and >= 0.
 
     Rounding is monotone, so no set's left-to-right sum exceeds f(V), the
-    sum of all the weights: a finite f(V) keeps every value finite."""
+    sum of all the weights: a finite f(V) keeps every value finite.  A
+    value rounds at most n times on each weight's way, so its error bound
+    (`ValueOracle.value_error`) is γ_n·Σw."""
 
     def __init__(self, weights):
         super().__init__()
         self.weights = [float(w) for w in weights]
         if not all(0.0 <= w < math.inf for w in self.weights):
             raise ContractViolation("modular weights must be finite and >= 0")
-        if left_sum(self.weights) == math.inf:
+        total = left_sum(self.weights)
+        if total == math.inf:
             raise ContractViolation("modular weights must have a finite sum")
         self.n = len(self.weights)
+        self.value_error = sum_error(self.n, total)
 
     def _value(self, mask: int) -> float:
         return left_sum(self.weights[e] for e in members(mask))

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import count, takewhile
+from itertools import accumulate, count, takewhile
 
 import numpy as np
 
@@ -299,7 +300,10 @@ def sample_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: Ground
 
 @dataclass
 class ExactResult:
-    """Optimal independent set found by exhaustive search."""
+    """An optimal independent set, the first maximum of `exact_max`'s
+    depth-first order, found by a search that skips only subtrees the
+    submodular bound shows cannot beat it.  `sets_visited` counts the
+    sets it evaluated, f(empty) included: its value queries."""
 
     solution: int
     value: float
@@ -307,30 +311,67 @@ class ExactResult:
 
 
 def exact_max(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet) -> ExactResult:
-    """Globally optimal independent set by pruned depth-first enumeration.
+    """Globally optimal independent set by branch and bound.
 
-    Explores supersets in ascending-id order and prunes any branch whose
-    first extension is infeasible, which is only sound for hereditary
-    families.  Keeps the first maximum encountered, i.e. the
-    lexicographically smallest optimal set.
+    The search walks the independent sets depth first, extending each by
+    ids in ascending order, and keeps the first maximum it meets, as a
+    walk over every independent set keeps it: the lexicographically
+    smallest optimal set by float value.  At a node S it evaluates all
+    its feasible children S + e first.  Then, child by child, it compares
+    F(C) with the best, strictly, and descends into C = S + e only if
+
+        (F(C) + Σ_t max(0, F(S + t) − F(S))) · ρ_k + (2k + 3)·δ + τ > best,
+
+    over the k feasible children S + t after C.  δ is the oracle's
+    `value_error`; an oracle that states none is never pruned.  By
+    heredity, a set below C adds to it only later siblings that are
+    feasible from S, so a child with none (k = 0) has an empty subtree
+    and is not walked, and a child's children are looked for among those
+    siblings only.
+
+    Why a pruned subtree cannot change the result.  Its sets are C ∪ T
+    with T among the k later siblings t.  With f submodular and
+    |F − f| <= δ (`ValueOracle`), f(C ∪ T) <= f(C) + Σ_T f(t | C) <= f(C)
+    + Σ_T f(t | S) (Nemhauser, Wolsey and Fisher, Math. Prog. 1978), so
+    every F(C ∪ T) is at most R = F(C) + Σ_t max(0, F(S + t) − F(S)) +
+    (2k + 2)·δ.  In floats, each operation rounding to nearest with
+    relative error at most u = 2^-53 (and absolute error at most 2^-1075
+    where a product underflows), every term of the float sum s = F(C) +
+    Σ_t max(...) meets at most k + 2 roundings of non-negative values,
+    so R − (2k + 2)·δ <= s·(1 + γ_{k+2}) with γ_j = j·u/(1 − j·u).  The
+    test rounds twice more on s's way, and ρ_k = 1 + (k + 4)·2^-52 >=
+    1 + γ_{k+4} >= (1 + γ_{k+2})·(1 + γ_2), while the extra δ and τ, the
+    least normal float, cover the rounding and underflow of the slack's
+    own terms, so the left side is at least R.  So a pruned subtree
+    holds no set whose float value beats the best at that point, the
+    comparisons come in the full enumeration's order and keep its first
+    maximum, set and value alike, and the queries are a subset of its
+    queries.
     """
     n = ground.n
     if n > 20:
-        raise ContractViolation("exhaustive search needs n <= 20")
+        raise ContractViolation("exact search needs n <= 20")
     best = [0, _empty_value(f, constraint, ground), 1]
+    delta = f.value_error
+    rho = [1.0 + (k + 4) * 2.0**-52 for k in range(n)]
+    slack = [math.inf if delta is None else (2 * k + 3) * delta + sys.float_info.min
+             for k in range(n)]
 
-    def walk(mask, state, start):
-        for e in range(start, n):
-            if not constraint.can_add(state, e):
-                continue
-            grown = mask | (1 << e)
-            val = f.evaluate(grown)
-            best[2] += 1
-            if val > best[1]:
-                best[0], best[1] = grown, val
-            walk(grown, constraint.add(state, e), e + 1)
+    def walk(mask, state, value, later):
+        kids = [e for e in later if constraint.can_add(state, e)]
+        vals = [f.evaluate(mask, e) for e in kids]
+        best[2] += len(kids)
+        # tail[i]: the positive gains over `value` of the children after i, summed from the last
+        tail = list(accumulate([max(v - value, 0.0) for v in vals[:0:-1]], initial=0.0))[::-1]
+        for i, e in enumerate(kids):
+            grown = mask | 1 << e
+            if vals[i] > best[1]:
+                best[0], best[1] = grown, vals[i]
+            k = len(kids) - 1 - i
+            if k and (vals[i] + tail[i]) * rho[k] + slack[k] > best[1]:
+                walk(grown, constraint.add(state, e), vals[i], kids[i + 1:])
 
-    walk(0, constraint.empty_state(), 0)
+    walk(0, constraint.empty_state(), best[1], range(n))
     return ExactResult(solution=best[0], value=best[1], sets_visited=best[2])
 
 

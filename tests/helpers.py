@@ -264,3 +264,26 @@ def whole_triangle_er_edges(n, p, seed):
     rows, cols = np.triu_indices(n, k=1)
     keep = rng.random(rows.shape[0]) < p
     return [(u, v, 1.0) for u, v in zip(rows[keep].tolist(), cols[keep].tolist())]
+
+
+def exact_max_unpruned(f, constraint, ground):
+    """`exact_max` as a walk over every independent set, depth first in
+    ascending id order, keeping the first strict maximum: the reference
+    the branch-and-bound search must match in solution and value while
+    making no more queries."""
+    n = ground.n
+    best = [0, f.evaluate(0), 1]
+
+    def walk(mask, state, start):
+        for e in range(start, n):
+            if not constraint.can_add(state, e):
+                continue
+            grown = mask | (1 << e)
+            val = f.evaluate(grown)
+            best[2] += 1
+            if val > best[1]:
+                best[0], best[1] = grown, val
+            walk(grown, constraint.add(state, e), e + 1)
+
+    walk(0, constraint.empty_state(), 0)
+    return t.ExactResult(solution=best[0], value=best[1], sets_visited=best[2])

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -94,6 +95,40 @@ def sparse_edge_lists(draw):
         u, v, _ = edges[draw(st.integers(0, len(edges) - 1))]
         edges += [(u, v, draw(weights)), (v, u, draw(weights)), (u, u, draw(weights))]
     return n, edges
+
+
+def _within_value_error(f, exact, masks):
+    """Each float value of f is within f.value_error of `exact`'s."""
+    for mask in masks:
+        assert abs(Fraction(f.evaluate(mask)) - exact(mask)) <= Fraction(f.value_error)
+
+
+@given(st.integers(1, 30), st.data())
+def test_list_path_cut_and_modular_values_are_within_the_error_bound(n, data):
+    weights = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.integers(1, 99).map(lambda k: k / 7))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    ids = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(ids, ids, weights), max_size=80))
+    _within_value_error(t.CutMonitorObjective(t.WeightedGraph(n, edges)), lambda mask: sum(
+        (Fraction(w) for u, v, w in edges if (mask >> u & 1) != (mask >> v & 1)), Fraction(0)), masks)
+    values = data.draw(st.lists(weights, min_size=n, max_size=n))
+    _within_value_error(t.ModularObjective(values), lambda mask: sum(
+        (Fraction(values[e]) for e in t.members(mask)), Fraction(0)), masks)
+
+
+@given(sparse_edge_lists(), st.lists(st.integers(0, 2**64), min_size=1, max_size=4))
+def test_sparse_cut_values_are_within_the_error_bound(case, draws):
+    n, edges = case
+    f = t.CutMonitorObjective(t.WeightedGraph(n, edges))
+    masks = [random.Random(d).getrandbits(n) for d in draws]
+    _within_value_error(f, lambda mask: sum(
+        (Fraction(w) for u, v, w in edges if (mask >> u & 1) != (mask >> v & 1)), Fraction(0)), masks)
+
+
+def test_marketing_and_callable_oracles_state_no_error_bound():
+    marketing = t.MarketingObjective([t.RRSetCollection(2, [0b01])], [0.5, 1.0])
+    assert marketing.value_error is None
+    assert t.CallableOracle(lambda mask: 1.0).value_error is None
 
 
 def _edge_loop_adjacency(n, edges):

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import twinopt as t
 
@@ -168,6 +170,109 @@ def test_exact_max_prefers_lexicographically_smallest():
     ground = t.GroundSet(3)
     res = t.exact_max(t.ModularObjective([1.0, 1.0, 1.0]), t.UniformMatroid(3, 1), ground)
     assert t.members(res.solution) == [0]
+
+
+@st.composite
+def exact_cases(draw):
+    """A cut on up to 12 nodes, with self-loops, parallel edges and zero
+    weights, or modular weights; under a uniform matroid, a partition
+    matroid or an intersection of two.  Returns an oracle factory, a
+    constraint factory and the ground set."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(0, n - 1)
+    weights = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.integers(1, 99).map(lambda k: k / 7))
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.tuples(ids, ids, weights), max_size=40))
+        if edges:
+            u, v, _ = edges[0]
+            edges += [(u, v, draw(weights)), (v, u, draw(weights)), (u, u, draw(weights))]
+        graph = t.WeightedGraph(n, edges)
+
+        def oracle():
+            return t.CutMonitorObjective(graph)
+    else:
+        values = draw(st.lists(weights, min_size=n, max_size=n))
+
+        def oracle():
+            return t.ModularObjective(values)
+    kind = draw(st.sampled_from(["uniform", "partition", "intersection"]))
+    parts = [draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)) for _ in range(2)]
+    k, cap = draw(st.integers(0, n)), draw(st.integers(0, 4))
+
+    def constraint():
+        if kind == "uniform":
+            return t.UniformMatroid(n, k)
+        if kind == "partition":
+            return t.PartitionMatroid(parts[0], cap)
+        return t.IntersectionSystem([t.PartitionMatroid(part, cap) for part in parts])
+
+    return oracle, constraint, t.GroundSet(n)
+
+
+@given(exact_cases())
+def test_exact_max_equals_the_unpruned_walk(case):
+    """The pruned search returns the unpruned walk's first maximum, set and
+    value bit for bit, with no more queries or checks, and counts each of
+    its queries as a visited set."""
+    oracle, constraint, ground = case
+    f, c, g, d = oracle(), constraint(), oracle(), constraint()
+    res = t.exact_max(f, c, ground)
+    ref = helpers.exact_max_unpruned(g, d, ground)
+    assert (res.solution, res.value) == (ref.solution, ref.value)
+    assert res.sets_visited == f.query_count <= g.query_count == ref.sets_visited
+    assert c.check_count <= d.check_count
+
+
+def test_exact_max_prunes_by_the_bound():
+    """On certify-sized cuts the bound skips most of the walk."""
+    for seed in (0, 1):
+        graph, ground, oracle, constraint = helpers.psystem_instance(12, seed=4100 + seed, cap=3)
+        res = t.exact_max(oracle(), constraint(), ground)
+        ref = helpers.exact_max_unpruned(oracle(), constraint(), ground)
+        assert (res.solution, res.value) == (ref.solution, ref.value)
+        assert res.sets_visited < 0.75 * ref.sets_visited
+
+
+def test_exact_max_of_a_non_submodular_callable_is_the_true_optimum():
+    """A CallableOracle states no error bound, so nothing is pruned: with
+    f(S) = 1 iff |S| = 3 the search finds {0, 1, 2}, with the unpruned
+    walk's queries."""
+    def three(mask):
+        return float(mask.bit_count() == 3)
+
+    f, ground = t.CallableOracle(three), t.GroundSet(6)
+    assert f.value_error is None
+    res = t.exact_max(f, t.UniformMatroid(6, 4), ground)
+    ref = helpers.exact_max_unpruned(t.CallableOracle(three), t.UniformMatroid(6, 4), ground)
+    assert (res.solution, res.value) == (0b111, 1.0)
+    assert res.sets_visited == ref.sets_visited == f.query_count
+
+
+def test_exact_max_bound_allows_for_rounding():
+    """{0, 1, 2} and {1, 2, 3} weigh 1.4 in reals, but their float sums are
+    1.4 and the next float up.  At the root the child {1} has the float
+    bound 0.6 + (0.3 + 0.5) = 1.4, the best so far: a bound that made no
+    allowance for rounding would skip {1}'s subtree and keep {0, 1, 2}."""
+    f, ground = t.ModularObjective([0.3, 0.6, 0.5, 0.3]), t.GroundSet(4)
+    assert f.evaluate(0b0111) == 1.4 < f.evaluate(0b1110) == math.nextafter(1.4, 2.0)
+    res = t.exact_max(f, t.UniformMatroid(4, 3), ground)
+    ref = helpers.exact_max_unpruned(t.ModularObjective(f.weights), t.UniformMatroid(4, 3), ground)
+    assert (res.solution, res.value) == (ref.solution, ref.value) == (0b1110, f.evaluate(0b1110))
+
+
+@pytest.mark.parametrize("constraint", [t.UniformMatroid(4, 3), t.PartitionMatroid([0, 0, 1, 1], 2)],
+                         ids=["uniform", "partition"])
+def test_exact_max_keeps_the_depth_first_first_of_tied_optima(constraint):
+    """A star with dyadic weights has two optimal sets, the centre {1} and
+    the leaves {0, 2, 3}, with exactly equal cuts.  The walk meets {0, 2, 3}
+    first, below the child {0}, before the root's child {1}, so it is kept,
+    although the pruned search evaluates {1} before it descends into {0}."""
+    graph = t.WeightedGraph(4, [(1, 0, 0.5), (1, 2, 0.25), (1, 3, 0.125)])
+    f = t.CutMonitorObjective(graph)
+    assert f.evaluate(0b0010) == f.evaluate(0b1101) == 0.875
+    res = t.exact_max(f, constraint, t.GroundSet(4))
+    ref = helpers.exact_max_unpruned(t.CutMonitorObjective(graph), constraint, t.GroundSet(4))
+    assert (res.solution, res.value) == (ref.solution, ref.value) == (0b1101, 0.875)
 
 
 def test_exact_max_rejects_large_ground():
