@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from .core import ContractViolation, GroundSet, IndependenceOracle, members, read_dense, write_rows
 
@@ -24,6 +25,10 @@ class UniformMatroid(IndependenceOracle):
         if k < 0:
             raise ContractViolation(f"uniform matroid needs k >= 0, got {k}")
         self.k = k
+
+    @property
+    def base_size(self) -> int:
+        return min(self.k, self.n)
 
     def empty_state(self):
         return 0
@@ -46,6 +51,10 @@ class PartitionMatroid(IndependenceOracle):
         self.part_of = [index[p] for p in part_of]
         self.cap = cap
         self.h = len(index)
+
+    @property
+    def base_size(self) -> int:
+        return sum(min(self.cap, size) for size in Counter(self.part_of).values())
 
     def empty_state(self):
         return [0] * self.h
@@ -74,6 +83,10 @@ class SeedMatroid(IndependenceOracle):
         self.m = m
         self.k = k
 
+    @property
+    def base_size(self) -> int:
+        return min(self.k, self.n_nodes)
+
     def empty_state(self):
         return (0, 0)  # (size, used-node mask)
 
@@ -87,7 +100,11 @@ class SeedMatroid(IndependenceOracle):
 
 
 class IntersectionSystem(IndependenceOracle):
-    """Intersection of p matroids over a common ground set (a p-set system)."""
+    """Intersection of p matroids over a common ground set (a p-set system).
+
+    With one constituent it is that matroid and states its base size;
+    with more its bases may differ in size, so it states none.
+    """
 
     def __init__(self, constituents):
         if not constituents:
@@ -98,6 +115,10 @@ class IntersectionSystem(IndependenceOracle):
         super().__init__(constituents[0].n)
         self.constituents = list(constituents)
         self.p = len(self.constituents)
+
+    @property
+    def base_size(self) -> int | None:
+        return self.constituents[0].base_size if self.p == 1 else None
 
     def empty_state(self):
         return tuple(c.empty_state() for c in self.constituents)
@@ -117,13 +138,16 @@ class IntersectionSystem(IndependenceOracle):
 
 
 def rank(constraint: IndependenceOracle, ground: GroundSet) -> int:
-    """Size of the greedy base built in element-id order.
+    """The constraint's stated `base_size`, else the size of the greedy
+    base built in element-id order.
 
-    Equals the true rank for matroids.  For a general p-set system it is
-    the size of one particular base, which is within a factor p of any
-    other base; that is the quantity the thresholded solver needs.
+    Every matroid here states its rank, so for them this costs no
+    independence check.  For a general p-set system the greedy base is
+    one particular base, within a factor p of any other base; that is the
+    quantity the thresholded solver needs.
     """
-    return greedy_base_size(constraint, ground.elements())
+    size = constraint.base_size
+    return greedy_base_size(constraint, ground.elements()) if size is None else size
 
 
 def greedy_base_size(constraint: IndependenceOracle, order) -> int:

@@ -429,7 +429,19 @@ class IndependenceOracle:
     hereditary family that is exactly the set-wise test.  `is_independent`
     and `can_add` are the counted entry points, one check per call, and
     reject ids outside the ground set.
+
+    `base_size` is the size of every maximal independent set, stated in
+    closed form with no oracle call, or None.  A set of that size admits
+    no further element, so `twin_greedy`, the single-set greedy and
+    `exact_max` skip the checks they would make on it, and
+    `constraints.rank` reads it instead of building a greedy base.
+    Only a matroid can state it: its bases all have one size, while the
+    bases of a p-set system may differ in size by up to a factor p.  The
+    default is None, which costs only those checks; a value that is not
+    the size of every base would change what the solvers return.
     """
+
+    base_size: int | None = None
 
     def __init__(self, n: int):
         self.n = n

@@ -108,6 +108,13 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
     confirmed maximum is the one a full rescan would select (exactly so
     in exact arithmetic; see the module note on float tie noise).
 
+    A constraint that states its `base_size` spares checks whose answer
+    is known: a side of that size is a base, so its heap entries are
+    dropped unchecked and the run ends once both sides are bases.  An
+    entry popped fresh is not re-checked either, as its side has not
+    changed since its check.  The log, values and queries are those of a
+    run that checks every pop.
+
     The constraint must be hereditary; a non-hereditary family can make
     the run stop early, which is not detected.
     """
@@ -130,16 +137,18 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
     heapq.heapify(heap)
 
     selected = 0
+    full = constraint.base_size  # a side of this size is a base: no element fits it
     while heap:
         neg_gain, i, e, ver, val = heapq.heappop(heap)
-        if (selected >> e) & 1:
+        if (selected >> e) & 1 or versions[i] == full:  # a side's version is its size
             continue
-        if not constraint.can_add(states[i], e):
-            continue  # a grown side never becomes feasible again
         if ver != versions[i]:
+            if not constraint.can_add(states[i], e):
+                continue  # a grown side never becomes feasible again
             val = f.evaluate(bases[i], e)
             heapq.heappush(heap, (fval[i] - val, i, e, versions[i], val))
             continue
+        # a fresh entry passed can_add on this very state when it was pushed
         gain = -neg_gain
         if gain <= 0:
             break
@@ -149,6 +158,8 @@ def twin_greedy(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSe
         bases[i] = f.grow(bases[i], e)
         versions[i] += 1
         selected |= 1 << e
+        if versions[0] == versions[1] == full:
+            break  # both sides are bases
 
     return _report("twin_greedy", ground, {"tie_break": TIE_BREAK}, log.replay(), fval, log,
                    f, constraint, start)
@@ -162,7 +173,8 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     unselected elements in ascending id order and inserts an element into
     the feasible side of larger marginal gain whenever that gain clears
     the current bar tau; the bar then decays by (1+epsilon) until it
-    drops to epsilon*tau_max/(r*(1+epsilon)).  Cached per-side gain
+    drops to epsilon*tau_max/(r*(1+epsilon)).  r is `constraints.rank`,
+    which a matroid states, so it costs no check.  Cached per-side gain
     bounds skip evaluations that cannot clear the bar (see module note);
     the insertion sequence is identical to the unskipped scan.
 
@@ -196,9 +208,10 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
         params.update(passes=0, tau_min=None, rank=None)
         return _report("twin_greedy_fast", ground, params, (0, 0), fval, log, f, constraint, start)
 
-    # r is the size of the greedy base in id order: the rank for a matroid,
-    # and within a factor p of every base of a p-set system, so an optimal
-    # set has at most p*r elements (certify_run checks that bound)
+    # r is the rank for a matroid, stated without checks, and otherwise the
+    # size of the greedy base in id order, within a factor p of every base
+    # of a p-set system, so an optimal set has at most p*r elements
+    # (certify_run checks that bound)
     r = constraint_rank(constraint, ground)
     tau_floor = epsilon * tau_max / (r * (1.0 + epsilon))
     bars = (tau_max / (1.0 + epsilon) ** j for j in count())
@@ -245,14 +258,16 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
 
 def _single_greedy(algorithm, f, constraint, ground, candidates, parameters,
                    start) -> RunReport:
-    """Textbook single-set greedy: full rescans, positive-gain stopping."""
+    """Textbook single-set greedy: full rescans, positive-gain stopping,
+    and a stop at a base of the constraint's stated `base_size`."""
     f_empty = _empty_value(f, constraint, ground)
     fcur = f_empty
     state = constraint.empty_state()
     base = f.base(0)
     log = InsertionLog()
     remaining = list(candidates)
-    while remaining:
+    full = constraint.base_size  # a set of this size is a base: no element fits it
+    while remaining and len(log) != full:
         alive = []
         best_e = -1
         best_gain = -math.inf
@@ -327,7 +342,8 @@ def exact_max(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet)
     heredity, a set below C adds to it only later siblings that are
     feasible from S, so a child with none (k = 0) has an empty subtree
     and is not walked, and a child's children are looked for among those
-    siblings only.
+    siblings only.  A set of the constraint's stated `base_size` is a
+    base, so the walk returns there without checking any sibling.
 
     Why a pruned subtree cannot change the result.  Its sets are C ∪ T
     with T among the k later siblings t.  With f submodular and
@@ -353,11 +369,14 @@ def exact_max(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet)
         raise ContractViolation("exact search needs n <= 20")
     best = [0, _empty_value(f, constraint, ground), 1]
     delta = f.value_error
+    full = constraint.base_size
     rho = [1.0 + (k + 4) * 2.0**-52 for k in range(n)]
     slack = [math.inf if delta is None else (2 * k + 3) * delta + sys.float_info.min
              for k in range(n)]
 
     def walk(mask, state, value, later):
+        if mask.bit_count() == full:
+            return  # a base: none of its later siblings fits it
         kids = [e for e in later if constraint.can_add(state, e)]
         vals = [f.evaluate(mask, e) for e in kids]
         best[2] += len(kids)

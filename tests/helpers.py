@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import math
 import random
 from collections import deque
@@ -11,6 +13,15 @@ import numpy as np
 
 import twinopt as t
 from twinopt.core import left_sum
+
+
+def digest_and_checks(payload):
+    """(sha256 of a run payload as sorted JSON without its
+    `independence_checks`, that count).  A pin of both moves only the
+    count when a change spares checks whose answer is already known."""
+    payload = dict(payload)
+    checks = payload.pop("independence_checks")
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest(), checks
 
 
 def cut_instance(n, seed, p_edge=0.5, h=2, cap=2):

@@ -429,21 +429,22 @@ def test_marketing_run_via_cli(tmp_path, capsys):
     assert payload["solution_size"] <= 2
 
 
-# sha256 of `run --objective marketing --no-timing` on a fixed 40-node,
-# 2-product instance, recorded before the marketing value moved to a
-# per-node RR-set cover index (samplegreedy: before marketing queries were
-# answered from a per-side base): values, logs and query counts are pinned.
-MARKETING_RUN_SHA256 = {
-    "twin": "acdfd8c39242650cd1c497617591d6d585167bf2f6a0c4c1fd2d1ccb3fabfdbd",
-    "twinfast": "28c3314b749076a95bd91ac745d3636d9c182328db2a672e3681d4f91c4f0769",
-    "greedy": "b806b40c9d258588140c05d7e91a500ebb9a845e8833297640443084601c0441",
-    "samplegreedy": "d32f59ecf06bdd78ed379590c3f67233ddd4d2c8deacd670ec07b24187a49910",
+# `helpers.digest_and_checks` of `run --objective marketing --no-timing` on a
+# fixed 40-node, 2-product instance, the digests recorded before the
+# marketing value moved to a per-node RR-set cover index (samplegreedy:
+# before marketing queries were answered from a per-side base): values,
+# logs and query counts are in the digest, the check count beside it.
+MARKETING_RUN_PINS = {
+    "twin": ("63f49d21112785bfa3fde8a2fc071cb968b9e4dcfb2f6e2364c42ebcc9453b7a", 276),
+    "twinfast": ("c658c76a6b9560f13705f2fd74dd18cb04f3b9f6a851faa35c82cb1b2cee423f", 263),
+    "greedy": ("d9b800cae331b451b93eac6213b8a0f03d9640d507f3c33048ba70213f6a1fce", 384),
+    "samplegreedy": ("6fd92b0a7660f0438eb52b436b11b9ca09ac10f8786754c53546cc1c896da549", 182),
 }
 
 
-@pytest.mark.parametrize("algo, digest", MARKETING_RUN_SHA256.items(),
-                         ids=MARKETING_RUN_SHA256.keys())
-def test_marketing_run_is_pinned(tmp_path, monkeypatch, capsys, algo, digest):
+@pytest.mark.parametrize("algo, pinned", MARKETING_RUN_PINS.items(),
+                         ids=MARKETING_RUN_PINS.keys())
+def test_marketing_run_is_pinned(tmp_path, monkeypatch, capsys, algo, pinned):
     monkeypatch.chdir(tmp_path)  # relative paths: the input hashes are keyed by path
     assert run_cli(["gen-graph", "--model", "ba", "--n", "40", "--m0", "3", "--m", "2",
                     "--seed", "5", "--out", "g.txt"]) == 0
@@ -455,23 +456,25 @@ def test_marketing_run_is_pinned(tmp_path, monkeypatch, capsys, algo, digest):
                     "--costs", "c.txt", "--constraint", "seedmatroid:v=40,m=2,k=5",
                     "--epsilon", "0.1", "--no-timing", "--out", "out.json"]) == 0
     capsys.readouterr()
-    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert helpers.digest_and_checks(payload) == pinned
 
 
-# sha256 of `run --objective cut --no-timing` on a fixed 300-node ER graph,
-# which takes the sparse-matrix cut path, recorded before cut queries were
-# answered from a per-side base: values, logs and query counts are pinned.
-CUT_SPARSE_RUN_SHA256 = {
-    "twin": "3b0ab7cf149cc89b62663f3ef7d1a7d8dde77ced22be92062fba511ece5d938f",
-    "twinfast": "084b70ca8d96bf4080717407d2d0c94f7fdca9fa39ae07f73c061b6aa96ffedc",
-    "samplegreedy": "537fb3abfa4a04769a545518ac472051beec4378c46bb2c26ddeb101519f0cac",
-    "greedy": "7886120ca7a8d8e35ff291a7c09f4862360ba2ebcc25b7045290db5c5ab49567",
+# `helpers.digest_and_checks` of `run --objective cut --no-timing` on a fixed
+# 300-node ER graph, which takes the sparse-matrix cut path, the digests
+# recorded before cut queries were answered from a per-side base: values,
+# logs and query counts are in the digest, the check count beside it.
+CUT_SPARSE_RUN_PINS = {
+    "twin": ("d6068387049c2ff8414a35f7125cc34dbabccb5ca454df8ed10c5e66f4a72daf", 478),
+    "twinfast": ("9dc2c271c5175bf951245699fe3c285be21a895dcb9854979403074c1fbb9de5", 960),
+    "samplegreedy": ("dac9466627b77c6960b95b66f3a14a6390ff5cafdd5a89e5f793cd9ff77d9ef9", 3324),
+    "greedy": ("7ff928c95407fdd374190428e21b1d46df4113fa2fcd87cb31520f4e3880a40a", 6730),
 }
 
 
-@pytest.mark.parametrize("algo, digest", CUT_SPARSE_RUN_SHA256.items(),
-                         ids=CUT_SPARSE_RUN_SHA256.keys())
-def test_sparse_cut_run_is_pinned(tmp_path, monkeypatch, capsys, algo, digest):
+@pytest.mark.parametrize("algo, pinned", CUT_SPARSE_RUN_PINS.items(),
+                         ids=CUT_SPARSE_RUN_PINS.keys())
+def test_sparse_cut_run_is_pinned(tmp_path, monkeypatch, capsys, algo, pinned):
     monkeypatch.chdir(tmp_path)  # relative paths: the input hashes are keyed by path
     assert run_cli(["gen-graph", "--model", "er", "--n", "300", "--p", "0.05",
                     "--weights", "0,1", "--seed", "21", "--out", "g.txt"]) == 0
@@ -479,8 +482,9 @@ def test_sparse_cut_run_is_pinned(tmp_path, monkeypatch, capsys, algo, digest):
                     "--constraint", "partition:cap=8,h=3,seed=4", "--epsilon", "0.1",
                     "--seed", "5", "--no-timing", "--out", "out.json"]) == 0
     capsys.readouterr()
-    assert json.loads((tmp_path / "out.json").read_text())["n"] >= t.objectives._SPARSE_MIN_NODES
-    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["n"] >= t.objectives._SPARSE_MIN_NODES
+    assert helpers.digest_and_checks(payload) == pinned
 
 
 # sha256 of a `gen-rrsets` file recorded with the scalar sampler, one

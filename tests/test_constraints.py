@@ -139,6 +139,47 @@ def test_intersection_p1_matches_constituent():
     inter = t.IntersectionSystem([t.PartitionMatroid(parts, 2)])
     for mask in range(1 << 12):
         assert single.is_independent(mask) == inter.is_independent(mask)
+    assert inter.base_size == single.base_size == 6
+    assert t.IntersectionSystem([single, single]).base_size is None
+
+
+def _assert_states_its_rank(constraint, order):
+    """`base_size` is the greedy base size in id order and in `order`, and
+    it and `rank` cost no check, also through an intersection of one."""
+    ground = t.GroundSet(constraint.n)
+    checks = constraint.check_count
+    size = constraint.base_size
+    assert t.rank(constraint, ground) == t.IntersectionSystem([constraint]).base_size == size
+    assert constraint.check_count == checks
+    assert greedy_base_size(constraint, ground.elements()) == greedy_base_size(constraint, order) == size
+
+
+STATED_EDGE_CASES = {
+    "uniform-k0": t.UniformMatroid(7, 0),
+    "uniform-k-is-n": t.UniformMatroid(5, 5),
+    "uniform-k-above-n": t.UniformMatroid(5, 9),
+    "uniform-empty": t.UniformMatroid(0, 2),
+    "partition-cap0": t.PartitionMatroid([0, 1, 1, 0, 2], 0),
+    "partition-parts-below-cap": t.PartitionMatroid([0, 1, 1, 1, 2, 3, 3], 2),
+    "seed-no-nodes": t.SeedMatroid(0, 3, 2),
+    "seed-k0": t.SeedMatroid(4, 2, 0),
+    "seed-k-is-nodes": t.SeedMatroid(3, 2, 3),
+    "seed-k-above-nodes": t.SeedMatroid(3, 2, 5),
+}
+
+
+@pytest.mark.parametrize("name", STATED_EDGE_CASES)
+def test_stated_base_size_at_the_edges(name):
+    constraint = STATED_EDGE_CASES[name]
+    _assert_states_its_rank(constraint, reversed(range(constraint.n)))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_stated_base_size_is_the_greedy_base_size(data):
+    n = data.draw(st.integers(0, 12))
+    constraint = data.draw(constraints_on(n, intersect=False))
+    _assert_states_its_rank(constraint, data.draw(st.permutations(range(n))))
 
 
 # one of each type, and intersections of mixed types, on at most 12 ids

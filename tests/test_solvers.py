@@ -1,4 +1,4 @@
-import hashlib
+import copy
 import json
 import math
 
@@ -175,9 +175,9 @@ def test_exact_max_prefers_lexicographically_smallest():
 @st.composite
 def exact_cases(draw):
     """A cut on up to 12 nodes, with self-loops, parallel edges and zero
-    weights, or modular weights; under a uniform matroid, a partition
-    matroid or an intersection of two.  Returns an oracle factory, a
-    constraint factory and the ground set."""
+    weights, or modular weights; under a uniform, partition or seed
+    matroid, an intersection of one partition matroid, or of two.
+    Returns an oracle factory, a constraint factory and the ground set."""
     n = draw(st.integers(1, 12))
     ids = st.integers(0, n - 1)
     weights = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.integers(1, 99).map(lambda k: k / 7))
@@ -195,15 +195,20 @@ def exact_cases(draw):
 
         def oracle():
             return t.ModularObjective(values)
-    kind = draw(st.sampled_from(["uniform", "partition", "intersection"]))
+    kind = draw(st.sampled_from(["uniform", "partition", "seed", "single", "intersection"]))
     parts = [draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)) for _ in range(2)]
     k, cap = draw(st.integers(0, n)), draw(st.integers(0, 4))
+    m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
 
     def constraint():
         if kind == "uniform":
             return t.UniformMatroid(n, k)
         if kind == "partition":
             return t.PartitionMatroid(parts[0], cap)
+        if kind == "seed":
+            return t.SeedMatroid(n // m, m, k)
+        if kind == "single":
+            return t.IntersectionSystem([t.PartitionMatroid(parts[0], cap)])
         return t.IntersectionSystem([t.PartitionMatroid(part, cap) for part in parts])
 
     return oracle, constraint, t.GroundSet(n)
@@ -221,6 +226,56 @@ def test_exact_max_equals_the_unpruned_walk(case):
     assert (res.solution, res.value) == (ref.solution, ref.value)
     assert res.sets_visited == f.query_count <= g.query_count == ref.sets_visited
     assert c.check_count <= d.check_count
+
+
+def _unstated(constraint):
+    """`constraint` as a subclass that states no base size, as a user's does."""
+    class Unstated(type(constraint)):
+        base_size = None
+
+    hidden = copy.copy(constraint)
+    hidden.__class__ = Unstated
+    return hidden
+
+
+@given(exact_cases(), st.sampled_from(["twin", "twinfast", "greedy", "samplegreedy", "exact"]))
+def test_a_stated_base_size_spares_only_checks(case, name):
+    """A run under a matroid and under the same matroid with its base size
+    hidden: the same log, values, optimum and queries, and no more checks."""
+    oracle, constraint, ground = case
+    runs = [t.solve(name, oracle(), c, ground, epsilon=0.1, seed=1).to_dict(include_timing=False)
+            for c in (constraint(), _unstated(constraint()))]
+    stated, hidden = (run.pop("independence_checks") for run in runs)
+    assert runs[0] == runs[1]
+    assert stated <= hidden
+
+
+class _SizeRecordingSeedMatroid(t.SeedMatroid):
+    """Records the size of the set behind each state it is asked about."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def _can_add(self, state, e):
+        self.asked.append(state[0])
+        return super()._can_add(state, e)
+
+
+def test_twin_greedy_checks_no_side_that_is_a_base():
+    """Both sides fill to k = 3: no check is made on a full side, so none
+    after both are full, and an intersection of one is no different."""
+    f, ground = t.ModularObjective([float(e % 5 + 1) for e in range(12)]), t.GroundSet(12)
+    c = _SizeRecordingSeedMatroid(6, 2, 3)
+    report = t.twin_greedy(f, c, ground)
+    assert report.s1.bit_count() == report.s2.bit_count() == 3
+    assert c.asked and max(c.asked) < 3 and report.independence_checks == len(c.asked)
+    hidden = _unstated(_SizeRecordingSeedMatroid(6, 2, 3))
+    t.twin_greedy(f, hidden, ground)
+    assert max(hidden.asked) == 3  # a run that is not told the size does ask
+    single = t.IntersectionSystem([t.SeedMatroid(6, 2, 3)])
+    assert (t.twin_greedy(f, single, ground).to_dict(include_timing=False)
+            == report.to_dict(include_timing=False))
 
 
 def test_exact_max_prunes_by_the_bound():
@@ -449,11 +504,6 @@ def test_twin_greedy_fast_matches_rescan_reference_bit_exactly():
         assert a == b
 
 
-def _report_sha256(report):
-    payload = json.dumps(report.to_dict(include_timing=False), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def _gap_instance():
     """One weight of 1000 and fifteen of 1 under a rank-12 uniform matroid
     with epsilon 0.01: 714 passes, of which only the first (the 1000) and
@@ -475,39 +525,40 @@ def test_twin_greedy_fast_walks_a_ladder_of_empty_passes():
     assert [ent.threshold for ent in report.log.entries] == [1000.0, bar]
 
 
-# sha256 of `twin_greedy_fast(...).to_dict(include_timing=False)`, recorded
-# before passes whose bar lies above every cached bound were skipped: the
-# certify-small sizes (n 8..15, partition matroid or an intersection of
-# two, cap 3) and the gap instance.  Values, logs, pass counts, tau_min
-# and query and check counts are pinned.
-TWINFAST_SHA256 = {
-    0: "439c7c5b01f23679d5ad0b00ccc342a3b00ab39fb75c91da2596dbe03daca427",
-    1: "ec47b91c0dc7d0071ec1fcc139fe2a485c72ebb336a99c725f741d597a7cd936",
-    2: "149efbafbf99d11700875557939f11d930b7ed3770fe0be20afca0f97691cfe0",
-    3: "88d507ce943a685f16f2a819a27c8091522d12a296cc59310f045fa26d84ea3c",
-    4: "c2725d30643655c95dc64a2cbbff73de12787cecb97e00946fb640054bf69877",
-    5: "067d081a4f64f5c8b0aa302f4ae129c2cf973386231ca871e6f21c689520cdeb",
-    6: "985951555a7cf26ff5d6874e27df8f10d7704e5739d9d3bae5e66af7f3903f11",
-    7: "c09f4d4c480448cc98a8a5ba09cba577be28c790a26c8ab7ec9bfc1c7fbdb13f",
-    8: "d3320f87663b9888bf2bf8234cbad9868376b6daad1b2aa02f05d161bc02e549",
-    9: "276b1e840075b59feb2f9b2b46b84aff33aa262fb9c0d3df41c5aec5891b73dc",
-    10: "bb6fe8ca259e3620f22e7aa7e7d6ca1014c8e6a9706ce054cbcb089fabb3eeb9",
-    11: "1541ff61dc0d0600612ea33213afba5ca04738b3c01e034372943a023abae7d6",
-    12: "015c5cee931ac93ed2237249d609ba685cf82b494e7b9ca18e0b9ec0c4512041",
-    13: "b9c30c1b2f7ce96ef5afccfe292d6800ecdab22f35a622e17082dfc8e592fcac",
-    14: "579a5e85898e93179ead0cc762ad6ef4f160df941539641c44e3f351c2d02cbe",
-    15: "9fb93597211440ede5813edb711cfb58c98ab30bd10a158934e7ca7279fbe580",
-    16: "73084458d85dc5cb1a375781e167802f980a900758c625c17534b8596218df98",
-    17: "e27c1f73ff4006144620b88615626f51183a47cb01a8a77f7f3ec1f78c70fb1d",
-    18: "72d5ad29f0883c9e641419ecdc68a45612b302214ffb64294f597a3cc3a454f7",
-    19: "b15c77062f02875c3d35da81ef3c61f26d01157494b263c3b53c66ba6abb9142",
-    "gap": "4b8182e4971b8cfaafdade4ae585fe989cd2b050b62afa4a8ca0a20ed816003f",
+# `helpers.digest_and_checks` of `twin_greedy_fast(...).to_dict(include_timing=False)`,
+# the digests recorded before passes whose bar lies above every cached
+# bound were skipped: the certify-small sizes (n 8..15, partition matroid
+# or an intersection of two, cap 3) and the gap instance.  Values, logs,
+# pass counts, tau_min and query counts are in the digest; the check
+# count is pinned beside it.
+TWINFAST_PINS = {
+    0: ("521e5a717d303dc289a6d823f77504972e2159a90fe024ed4d62fedaa55d0953", 27),
+    1: ("449babad0d96f02c0269cc6a230d851bcee69793badf654f07aacc61a66023aa", 30),
+    2: ("5d4d3ff23392a9b9e8f011f4ba68b3593140dbc8b22c2e6d1586e8ae7a263760", 36),
+    3: ("9152d5d2efff99ab15a467a9bed00b4f94320c2c4149128deab44cba5f8cae3e", 49),
+    4: ("6d299ff01aea9b4a87e5a77386271ae6f5a6a584ed59c9505d07a29d68a89fb4", 47),
+    5: ("e8a8763bc37699369ab82310c56be34c05ba5e19e588552dcf645d25c5f6bae0", 48),
+    6: ("63373d3c3a89114dc6596d53d0b1e5017d24971973ffc9e0cede154762d6aa3a", 50),
+    7: ("6e64139d11d5662abd7d49744d31aa7504df50ee43c663ad73c50e5a8e9fdf8a", 57),
+    8: ("f8008ac4bd5f9f5274130803ad750641c295a8154adbd7ba8ed7f47d5cefbb8f", 31),
+    9: ("8f1db87c896d439631123fe103def8ad014f3572ca39e865b2833d5214a8b11d", 40),
+    10: ("d89ea2247aac4d216c98f2107a281a313a57008c984a6c51397cbc56fc293b37", 49),
+    11: ("5e9800495d2307a2148f6db6c33dd712d841a69fa0ff07733c5d373a4ef99a6e", 56),
+    12: ("aeda3a370205a8cf112cf7c305ff788f7284add6eca5025ff7e893154b839165", 55),
+    13: ("a57c7a133853ce0dca83ee1c9c24540027d1166737603529fc99080125829b6f", 61),
+    14: ("8f655e86c7fbfdd80de85536b9578b3b6a9f878cad662568e5b56682c9eb83e5", 68),
+    15: ("2906c8ad88e7b023cd16b8b9e2c053baf7246a7228a9015b72f79a23c900e410", 73),
+    16: ("195b33b25f116a128d29dc7c6daecec4207537193e11d8f48aaf5e2c15cb9ec8", 26),
+    17: ("efd10edff95da1ada066494d8634f08014df5b2ccf82aaad718dee176c027d51", 34),
+    18: ("1efe0716872cedc65541f39d594d6fde69b90b81822f17d1a2ab6a9258e2f281", 44),
+    19: ("51ce11d753a4f31f10f1c7bc8c3931756096f198d348a3edc9a7b6e57c86bd63", 38),
+    "gap": ("29cdec63ca5f9e03353f5ffeb59f8f34c91cd6e86f9e2acd09cc62ff02acee96", 48),
 }
 
 
-@pytest.mark.parametrize("key, digest", TWINFAST_SHA256.items(),
-                         ids=[str(key) for key in TWINFAST_SHA256])
-def test_twin_greedy_fast_report_is_pinned(key, digest):
+@pytest.mark.parametrize("key, pinned", TWINFAST_PINS.items(),
+                         ids=[str(key) for key in TWINFAST_PINS])
+def test_twin_greedy_fast_report_is_pinned(key, pinned):
     if key == "gap":
         report = t.twin_greedy_fast(*_gap_instance())
     else:
@@ -515,7 +566,7 @@ def test_twin_greedy_fast_report_is_pinned(key, digest):
         build = helpers.cut_instance if key // 8 % 2 == 0 else helpers.psystem_instance
         graph, ground, oracle, constraint = build(n, seed=9400 + key, cap=3)
         report = t.twin_greedy_fast(oracle(), constraint(), ground, 0.1)
-    assert _report_sha256(report) == digest
+    assert helpers.digest_and_checks(report.to_dict(include_timing=False)) == pinned
 
 
 def test_twin_greedy_fast_reevaluated_gain_on_a_later_bar():
