@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .constraints import rank
 from .core import (TOL, CallableOracle, ContractViolation, GroundSet, InsertionLog, RunReport,
-                   ValueOracle, bitmask, left_sum, members)
+                   ValueOracle, bitmask, check_sizes, left_sum, members)
 
 
 class CertificationError(RuntimeError):
@@ -379,15 +379,21 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
                 optimal_value: float, p: int = 1) -> CertificationReport:
     """Run the whole certification pipeline for one finished run.
 
-    The checks trust the report's sides, so a log that `InsertionLog.validate`
-    rejects (an id outside 0..n-1 and a non-finite gain included) or that
-    does not replay to them raises CertificationError, and so does a side
-    that is not independent: the checks replay each side's prefixes
-    through the constraint's states, which stand for those prefixes only
-    because the family is hereditary.  So does an optimal set larger than
-    p times `rank(constraint)`: that greedy base is within a factor p of
-    every base of a p-set system, so the stated p is wrong.
+    The report's n, the constraint and the oracle must state one size
+    (`core.check_sizes`) and the optimal set must hold ids below it, or
+    CertificationError is raised.  The checks trust the report's sides,
+    so a log that `InsertionLog.validate` rejects (an id outside 0..n-1
+    and a non-finite gain included) or that does not replay to them
+    raises CertificationError, and so does a side that is not
+    independent: the checks replay each side's prefixes through the
+    constraint's states, which stand for those prefixes only because the
+    family is hereditary.  So does an optimal set larger than p times
+    `rank(constraint)`: that greedy base is within a factor p of every
+    base of a p-set system, so the stated p is wrong.
     """
+    check_sizes(report.n, constraint, f, CertificationError)
+    if optimal >> report.n:  # a negative set shifts to -1
+        raise CertificationError(f"the optimal set is not a set of ids below n = {report.n}")
     try:
         report.log.validate(report.n)
     except ContractViolation as exc:
@@ -403,7 +409,7 @@ def certify_run(f: ValueOracle, constraint, report: RunReport, optimal: int,
                                  f"p * rank = {p} * {base}: the constraint is not a {p}-set system")
     variant, epsilon, _ = _variant(report)
     q0 = f.query_count
-    cached = CallableOracle(functools.cache(f.evaluate))
+    cached = CallableOracle(functools.cache(f.evaluate), f.n)
     replayed = _replay(report, constraint)  # one replay for the three structural steps
     classes = _classify(report, optimal, constraint, replayed)
     pi = _build_pi(report, classes, constraint, p, replayed)

@@ -147,7 +147,7 @@ def rank(constraint: IndependenceOracle, ground: GroundSet) -> int:
     quantity the thresholded solver needs.
     """
     size = constraint.base_size
-    return greedy_base_size(constraint, ground.elements()) if size is None else size
+    return greedy_base_size(constraint, range(ground.n)) if size is None else size
 
 
 def greedy_base_size(constraint: IndependenceOracle, order) -> int:

@@ -2,7 +2,11 @@
 
 Element sets are plain Python ints used as bitmasks over the dense ids
 0..n-1.  This keeps set algebra (union, intersection, difference) single
-expressions and makes the solver inner loops allocation-free.
+expressions.  It is not free at scale: a mask is an arbitrary-precision
+int, so a shift, a union or a membership test costs time linear in its
+bits (about 1 µs for `mask >> e & 1` on a 32k-bit mask) and a union
+allocates a new int.  Every oracle and constraint states its ground size
+n, and `check_sizes` is the one check that a run's three sizes agree.
 """
 
 from __future__ import annotations
@@ -83,13 +87,6 @@ class GroundSet:
     def __post_init__(self):
         if self.n < 0:
             raise ContractViolation(f"ground size must be >= 0, got {self.n}")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def elements(self) -> range:
-        return range(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +264,14 @@ def write_rows(path, rows, header: dict[str, int] | None = None) -> None:
 # oracle contracts
 
 
-def _rejected(mask: int, n: int | None, e: int | None = None) -> ContractViolation:
+def _rejected(mask: int, n: int, e: int | None = None) -> ContractViolation:
     """The error for a refused query, base or check: the set `mask`, or
-    `mask` plus the id e, is no set of ids in 0..n-1 (of ids >= 0 when n
-    is None)."""
+    `mask` plus the id e, is no set of ids in 0..n-1.  `_rejected(0, n, e)`
+    is the error for an id e alone."""
     if mask < 0:
         return ContractViolation(f"a set mask must be >= 0, not {mask}")
-    if e is not None and (e < 0 or n is not None and e >= n):
-        ground = "ids >= 0" if n is None else f"size {n}"
-        return ContractViolation(f"element {e} outside the ground set of {ground}")
+    if e is not None and not 0 <= e < n:
+        return ContractViolation(f"element {e} outside the ground set of size {n}")
     if e is not None and mask >> e & 1:
         return ContractViolation(f"element {e} is already in the set")
     return ContractViolation(f"set holds ids at or past the ground size {n}")
@@ -285,17 +281,18 @@ class ValueOracle:
     """Set-function evaluator with a per-instance query counter.
 
     This is the one statement of the query contract every objective
-    follows.  A subclass sets `n`, the ground size, and implements
-    `_value(mask)`, the value of a set of ids below n.  `evaluate(s, e)`
-    is the only counted entry point: it returns f(s), or f(s + {e}) when
-    an id e is given, and one call is one query, so a marginal gain
-    against a caller-cached value costs exactly one query.  Oracles hold
-    no value caches of their own; solvers own theirs, which keeps the
-    query count attributable to the algorithm under test.  A set is a
-    non-negative Python int mask.  A negative mask, a set holding an id at or
-    past n, and an e that is negative, at or past n or already in the set
-    are rejected with ContractViolation, and the query still counts; an
-    oracle whose n is None states no ground size and takes any id >= 0.
+    follows.  Every oracle states its ground size: a subclass passes n to
+    `__init__` and implements `_value(mask)`, the value of a set of ids
+    below n.  `evaluate(s, e)` is the only counted entry point: it
+    returns f(s), or f(s + {e}) when an id e is given, and one call is
+    one query, so a marginal gain against a caller-cached value costs
+    exactly one query.  Oracles hold no value caches of their own;
+    solvers own theirs, which keeps the query count attributable to the
+    algorithm under test.  A set is a non-negative Python int mask.  A
+    negative mask, a set holding an id at or past n, and an e that is
+    negative, at or past n or already in the set are rejected with
+    ContractViolation (`_rejected`, whose messages the constraints and
+    `InsertionLog.validate` share), and the query still counts.
 
     The value rule: the approximation guarantees are for non-negative
     submodular f, so every answer, from `_value` or `_value_plus`, must
@@ -330,7 +327,8 @@ class ValueOracle:
     The sparse-path cut (`CutMonitorObjective` from `_SPARSE_MIN_NODES`
     nodes on) and `MarketingObjective` have base objects; the list-path
     cut, `ModularObjective` and `CallableOracle` use the mask.
-    `CallableOracle` follows the same contract, the value rule included.
+    `CallableOracle` follows the same contract, its ground size and the
+    value rule included.
 
     The error bound.  An oracle may state `value_error`, a float δ with
     |F(X) − f(X)| <= δ for every set X, where F(X) is the value `evaluate`
@@ -345,15 +343,17 @@ class ValueOracle:
 
     value_error: float | None = None
 
-    def __init__(self):
+    def __init__(self, n: int):
+        self.n = n
         self.query_count = 0
 
     def evaluate(self, s, e: int | None = None) -> float:
         self.query_count += 1
         if s.__class__ is int:
-            mask = s if e is None else s | 1 << e if e >= 0 else -1
-            # e < 0 or s < 0 gives a negative mask, which shifts to -1; e in s leaves s
-            if (mask >> self.n if self.n is not None else mask < 0) or e is not None and mask == s:
+            mask = s if e is None else s | 1 << e if 0 <= e < self.n else -1
+            # an e outside 0..n-1 or s < 0 gives a negative mask, which shifts to -1;
+            # e in s leaves s
+            if mask >> self.n or e is not None and mask == s:
                 raise _rejected(s, self.n, e)
             value = self._value(mask)
         elif e is None:
@@ -371,7 +371,7 @@ class ValueOracle:
     def base(self, mask: int):
         """The base of the set `mask`: the mask itself, or an oracle's
         base object."""
-        if mask < 0 or self.n is not None and mask >> self.n:
+        if mask >> self.n:  # a negative mask shifts to -1
             raise _rejected(mask, self.n)
         return self._new_base(mask)
 
@@ -379,7 +379,7 @@ class ValueOracle:
         """The base of base's set plus the id e outside it; `base` is left
         as it was."""
         mask = base if base.__class__ is int else base.mask
-        if e < 0 or mask >> e & 1 or self.n is not None and e >= self.n:
+        if not 0 <= e < self.n or mask >> e & 1:
             raise _rejected(mask, self.n, e)
         return mask | 1 << e if base is mask else self._grow(base, e)  # a mask is its own base
 
@@ -399,16 +399,12 @@ class ValueOracle:
 
 
 class CallableOracle(ValueOracle):
-    """Adapter turning a plain ``mask -> float`` function into an oracle.
+    """Adapter turning a plain ``mask -> float`` function over the ids
+    0..n-1 into an oracle.  It states no error bound, and its base is the
+    mask; `fn` is called only on sets the contract accepts."""
 
-    It states no ground size (`n` is None): it accepts any id >= 0, its
-    base is the mask and it is exempt from the solvers' ground-size
-    check."""
-
-    n = None
-
-    def __init__(self, fn):
-        super().__init__()
+    def __init__(self, fn, n: int):
+        super().__init__(n)
         self._fn = fn
 
     def _value(self, mask: int) -> float:
@@ -428,12 +424,13 @@ class IndependenceOracle:
     order through these and is False at the first refusal; for a
     hereditary family that is exactly the set-wise test.  `is_independent`
     and `can_add` are the counted entry points, one check per call, and
-    reject ids outside the ground set.
+    reject ids outside the ground set with the value oracles' messages
+    (`_rejected`), counting no check.
 
     `base_size` is the size of every maximal independent set, stated in
     closed form with no oracle call, or None.  A set of that size admits
-    no further element, so `twin_greedy`, the single-set greedy and
-    `exact_max` skip the checks they would make on it, and
+    no further element, so every solver and `exact_max` skip the checks
+    they would make on it, and
     `constraints.rank` reads it instead of building a greedy base.
     Only a matroid can state it: its bases all have one size, while the
     bases of a p-set system may differ in size by up to a factor p.  The
@@ -460,9 +457,20 @@ class IndependenceOracle:
 
     def can_add(self, state, e: int) -> bool:
         if not 0 <= e < self.n:
-            raise ContractViolation(f"element {e} outside ground set of size {self.n}")
+            raise _rejected(0, self.n, e)
         self.check_count += 1
         return self._can_add(state, e)
+
+
+def check_sizes(n: int, constraint: IndependenceOracle, f: ValueOracle,
+                error=ContractViolation) -> None:
+    """Raise `error` unless the ground size n, the constraint and the
+    oracle state one size: a run on a smaller ground set would solve a
+    sub-problem, and a larger one would query ids the oracle rejects.
+    The solvers raise ContractViolation, `certify_run` its
+    CertificationError."""
+    if not n == constraint.n == f.n:
+        raise error(f"ground set, constraint and oracle sizes differ: {n}, {constraint.n} and {f.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +547,7 @@ class InsertionLog:
             if ent.side not in (1, 2):
                 raise ContractViolation(f"bad side {ent.side}")
             if not 0 <= ent.element < n:
-                raise ContractViolation(f"element {ent.element} outside the ground set of size {n}")
+                raise _rejected(0, n, ent.element)
             if not math.isfinite(ent.gain):
                 raise ContractViolation(f"element {ent.element} has gain {ent.gain}")
             if (seen >> ent.element) & 1:

@@ -252,7 +252,7 @@ class CutMonitorObjective(ValueOracle):
     """
 
     def __init__(self, graph: WeightedGraph):
-        super().__init__()
+        super().__init__(graph.n_nodes)
         if graph.directed:
             raise ContractViolation("monitoring graphs are undirected")
         graph.validate()
@@ -262,9 +262,8 @@ class CutMonitorObjective(ValueOracle):
             raise ContractViolation(f"the edge weights sum to {total}, above {_CUT_WEIGHT_MAX}: "
                                     "a cut value could overflow")
         self.graph = graph
-        self.n = n = graph.n_nodes
-        self.value_error = sum_error(n + 2 * len(graph.w), 2.0 * float(total))
-        self._sparse = n >= _SPARSE_MIN_NODES
+        self.value_error = sum_error(self.n + 2 * len(graph.w), 2.0 * float(total))
+        self._sparse = self.n >= _SPARSE_MIN_NODES
         if self._sparse:
             import scipy.sparse as sp
             from scipy.sparse._sparsetools import csr_matvec  # the row kernel behind csr_matrix.dot
@@ -274,7 +273,7 @@ class CutMonitorObjective(ValueOracle):
             # both orientations of each edge in turn: u v, v u, as COO entries
             self._adj = sp.csr_matrix(
                 (graph.w.repeat(2), (ends.ravel(), ends[:, ::-1].ravel())),
-                shape=(n, n),
+                shape=(self.n, self.n),
             )
             # row u's [start, end) in the CSR arrays, for the row kernel, and
             # as a list, whose items slice `indices` without NumPy scalars
@@ -397,10 +396,6 @@ def _rr_row(fields, header):
     return bitmask(ids)  # a negative id fails the shift
 
 
-def pack_seed_id(node: int, product: int, m: int) -> int:
-    return node * m + product
-
-
 class _MarketingBase(NamedTuple):
     """Work behind the marketing value of one set: per product the RR sets
     its seeds hit and its spread term n * hits / |R_i|, the members in
@@ -438,10 +433,10 @@ class MarketingObjective(ValueOracle):
     """
 
     def __init__(self, collections: list[RRSetCollection], costs, budget: float | None = None):
-        super().__init__()
         if not collections:
             raise ContractViolation("need one RR collection per product")
         n_nodes = collections[0].n_nodes
+        super().__init__(n_nodes * len(collections))
         if any(c.n_nodes != n_nodes for c in collections):
             raise ContractViolation("collections must share one node set")
         for i, c in enumerate(collections):
@@ -459,7 +454,6 @@ class MarketingObjective(ValueOracle):
         self.budget = max_cost if budget is None else budget
         if not (math.isfinite(self.budget) and self.budget >= max_cost):
             raise ContractViolation(f"budget {self.budget} is below m * sum(costs) = {max_cost}")
-        self.n = n_nodes * self.m
         self._covers = [_cover_index(c.sets, n_nodes) for c in collections]
         self._sampled = [len(c.sets) for c in collections]
 
@@ -521,14 +515,13 @@ class ModularObjective(ValueOracle):
     (`ValueOracle.value_error`) is γ_n·Σw."""
 
     def __init__(self, weights):
-        super().__init__()
         self.weights = [float(w) for w in weights]
+        super().__init__(len(self.weights))
         if not all(0.0 <= w < math.inf for w in self.weights):
             raise ContractViolation("modular weights must be finite and >= 0")
         total = left_sum(self.weights)
         if total == math.inf:
             raise ContractViolation("modular weights must have a finite sum")
-        self.n = len(self.weights)
         self.value_error = sum_error(self.n, total)
 
     def _value(self, mask: int) -> float:

@@ -29,11 +29,11 @@ for most), and the two sides may start from one shared base of the
 empty set.
 
 Every solver and `exact_max` first check that the ground set, the
-constraint and the oracle state one size.  They read values only through
-`ValueOracle.evaluate`, whose value rule (0 <= value < inf) rejects a
-NaN, infinite or negative value with one ContractViolation wherever it
-appears, so every gain and cached bound here is finite or, for an
-infeasible pair, -inf, and compares totally.
+constraint and the oracle state one size (`core.check_sizes`).  They
+read values only through `ValueOracle.evaluate`, whose value rule
+(0 <= value < inf) rejects a NaN, infinite or negative value with one
+ContractViolation wherever it appears, so every gain and cached bound
+here is finite or, for an infeasible pair, -inf, and compares totally.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .core import (
     ParameterError,
     RunReport,
     ValueOracle,
+    check_sizes,
 )
 from .constraints import rank as constraint_rank
 from .generators import RNG_ID
@@ -70,10 +71,8 @@ def _start(f: ValueOracle, constraint: IndependenceOracle) -> tuple[float, int, 
 
 def _empty_value(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet) -> float:
     """f(empty), one query, once the ground set, the constraint and the
-    oracle are seen to state one size (`CallableOracle` states none)."""
-    if not ground.n == constraint.n == (ground.n if f.n is None else f.n):
-        raise ContractViolation(f"ground set, constraint and oracle sizes differ: "
-                                f"{ground.n}, {constraint.n} and {f.n}")
+    oracle are seen to state one size."""
+    check_sizes(ground.n, constraint, f)
     return f.evaluate(0)
 
 
@@ -176,7 +175,9 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     drops to epsilon*tau_max/(r*(1+epsilon)).  r is `constraints.rank`,
     which a matroid states, so it costs no check.  Cached per-side gain
     bounds skip evaluations that cannot clear the bar (see module note);
-    the insertion sequence is identical to the unskipped scan.
+    the insertion sequence is identical to the unskipped scan.  A side
+    that reaches the constraint's stated `base_size` is a base: all its
+    bounds drop to -inf unchecked, as a check on it would drop them.
 
     Only its own scan changes an element's bounds, so it waits in the list
     of the first pass whose bar tau_max/(1+epsilon)**j its larger bound
@@ -208,11 +209,13 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
         params.update(passes=0, tau_min=None, rank=None)
         return _report("twin_greedy_fast", ground, params, (0, 0), fval, log, f, constraint, start)
 
-    # r is the rank for a matroid, stated without checks, and otherwise the
-    # size of the greedy base in id order, within a factor p of every base
-    # of a p-set system, so an optimal set has at most p*r elements
-    # (certify_run checks that bound)
-    r = constraint_rank(constraint, ground)
+    # r is the rank for a matroid, stated without checks as the size of
+    # every base, and otherwise the size of the greedy base in id order,
+    # within a factor p of every base of a p-set system, so an optimal set
+    # has at most p*r elements (certify_run checks that bound); a base's
+    # size is read once, as a matroid may compute it on each read
+    full, sizes = constraint.base_size, [0, 0]  # a side of size `full` is a base
+    r = constraint_rank(constraint, ground) if full is None else full
     tau_floor = epsilon * tau_max / (r * (1.0 + epsilon))
     bars = (tau_max / (1.0 + epsilon) ** j for j in count())
     neg = [-tau for tau in takewhile(tau_floor.__lt__, bars)]  # ascending for bisect_left
@@ -246,6 +249,9 @@ def twin_greedy_fast(f: ValueOracle, constraint: IndependenceOracle, ground: Gro
                 fval[best_side] = best_val
                 states[best_side] = constraint.add(states[best_side], e)
                 bases[best_side] = f.grow(bases[best_side], e)
+                sizes[best_side] += 1
+                if sizes[best_side] == full:  # no element fits a base: drop its bounds unchecked
+                    bounds[best_side] = [-math.inf] * n
                 continue
             # both bounds are below tau: wait for the next bar the larger reaches
             top = max(bounds[0][e], bounds[1][e])

@@ -111,10 +111,9 @@ class CoverageObjective(t.ValueOracle):
     """
 
     def __init__(self, item_weights, covers):
-        super().__init__()
         self.item_weights = [float(w) for w in item_weights]
         self.covers = list(covers)
-        self.n = len(self.covers)
+        super().__init__(len(self.covers))
 
     def _value(self, mask: int) -> float:
         covered = 0

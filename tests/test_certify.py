@@ -366,6 +366,47 @@ def test_certify_run_rejects_a_log_id_past_n():
         t.certify_run(t.ModularObjective([1.0] * 8), t.UniformMatroid(8, 2), report, 0b1, 1.0)
 
 
+def _eight_node_run():
+    """An oracle, a constraint, a twin_greedy report and the optimum of an
+    8-node cut; the report certifies."""
+    graph, ground, oracle, constraint = helpers.cut_instance(8, seed=19200)
+    f, c = oracle(), constraint()
+    report, opt = t.twin_greedy(f, c, ground), t.exact_max(oracle(), constraint(), ground)
+    assert t.certify_run(f, c, report, opt.solution, opt.value).ok
+    return f, c, report, opt
+
+
+@pytest.mark.parametrize("n_report, n_constraint, n_oracle", [(8, 12, 8), (10, 8, 8), (8, 8, 10)])
+def test_certify_run_rejects_sizes_that_differ(n_report, n_constraint, n_oracle):
+    """The report's n, the constraint and the oracle must state one size:
+    a 12-element matroid or a report of n = 10 beside an 8-node cut used
+    to certify."""
+    f, c, report, opt = _eight_node_run()
+    if n_constraint != 8:
+        c = t.UniformMatroid(n_constraint, 3)
+    if n_oracle != 8:
+        f = t.ModularObjective([1.0] * n_oracle)
+    report.n = n_report
+    q0, k0 = f.query_count, c.check_count
+    with pytest.raises(t.CertificationError, match=f"^ground set, constraint and oracle sizes "
+                                                   f"differ: {n_report}, {n_constraint} and "
+                                                   f"{n_oracle}$"):
+        t.certify_run(f, c, report, opt.solution, opt.value)
+    assert (f.query_count, c.check_count) == (q0, k0)
+
+
+@pytest.mark.parametrize("optimal", [1 << 9, 1 << 8, -1])
+def test_certify_run_rejects_an_optimal_set_outside_the_ground_set(optimal):
+    """An optimal set holding an id >= n is a CertificationError, raised
+    before any query or check, not a bare ContractViolation from a check."""
+    f, c, report, opt = _eight_node_run()
+    q0, k0 = f.query_count, c.check_count
+    with pytest.raises(t.CertificationError,
+                       match="^the optimal set is not a set of ids below n = 8$"):
+        t.certify_run(f, c, report, opt.solution | optimal, opt.value)
+    assert (f.query_count, c.check_count) == (q0, k0)
+
+
 def test_log_gain_replay_check():
     graph, ground, oracle, constraint = helpers.cut_instance(8, seed=19000)
     f = oracle()

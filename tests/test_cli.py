@@ -466,7 +466,7 @@ def test_marketing_run_is_pinned(tmp_path, monkeypatch, capsys, algo, pinned):
 # logs and query counts are in the digest, the check count beside it.
 CUT_SPARSE_RUN_PINS = {
     "twin": ("d6068387049c2ff8414a35f7125cc34dbabccb5ca454df8ed10c5e66f4a72daf", 478),
-    "twinfast": ("9dc2c271c5175bf951245699fe3c285be21a895dcb9854979403074c1fbb9de5", 960),
+    "twinfast": ("9dc2c271c5175bf951245699fe3c285be21a895dcb9854979403074c1fbb9de5", 511),
     "samplegreedy": ("dac9466627b77c6960b95b66f3a14a6390ff5cafdd5a89e5f793cd9ff77d9ef9", 3324),
     "greedy": ("7ff928c95407fdd374190428e21b1d46df4113fa2fcd87cb31520f4e3880a40a", 6730),
 }

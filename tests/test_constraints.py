@@ -151,7 +151,7 @@ def _assert_states_its_rank(constraint, order):
     size = constraint.base_size
     assert t.rank(constraint, ground) == t.IntersectionSystem([constraint]).base_size == size
     assert constraint.check_count == checks
-    assert greedy_base_size(constraint, ground.elements()) == greedy_base_size(constraint, order) == size
+    assert greedy_base_size(constraint, range(ground.n)) == greedy_base_size(constraint, order) == size
 
 
 STATED_EDGE_CASES = {
@@ -204,6 +204,31 @@ def test_is_independent_matches_the_definition_on_every_mask(name):
     for mask in range(1 << constraint.n):
         assert constraint.is_independent(mask) == helpers.independent_by_definition(constraint, mask)
     assert constraint.check_count == checks + (1 << constraint.n)  # one counted check each
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_constraints_reject_ids_outside_the_ground_set(name):
+    """`can_add` of -1 or n raises the value oracles' message for an id
+    outside 0..n-1, `is_independent` of a set holding n their message for
+    such a set, and neither counts a check."""
+    constraint = REFERENCE_CASES[name]
+    n, state, checks = constraint.n, constraint.empty_state(), constraint.check_count
+    f = t.ModularObjective([1.0] * n)
+    for e in (-1, n):
+        with pytest.raises(t.ContractViolation) as oracle_error:
+            f.evaluate(0, e)
+        with pytest.raises(t.ContractViolation) as constraint_error:
+            constraint.can_add(state, e)
+        assert (str(constraint_error.value) == str(oracle_error.value)
+                == f"element {e} outside the ground set of size {n}")
+    for mask in (1 << n, 0b1 | 1 << (n + 3)):
+        with pytest.raises(t.ContractViolation) as oracle_error:
+            f.evaluate(mask)
+        with pytest.raises(t.ContractViolation) as constraint_error:
+            constraint.is_independent(mask)
+        assert (str(constraint_error.value) == str(oracle_error.value)
+                == f"set holds ids at or past the ground size {n}")
+    assert constraint.check_count == checks
 
 
 @st.composite

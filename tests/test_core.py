@@ -28,7 +28,7 @@ def test_mask_algebra_inclusion_exclusion(a_ids, b_ids):
 
 
 def test_query_counter_increments_once_per_evaluate():
-    f = CallableOracle(lambda mask: float(mask.bit_count()))
+    f = CallableOracle(lambda mask: float(mask.bit_count()), 4)
     for expected in range(1, 6):
         f.evaluate(0b1011)
         assert f.query_count == expected
@@ -38,8 +38,8 @@ class _BasedCount(t.ValueOracle):
     """|S| over 0..3, with base objects; a based query answers `plus`."""
 
     def __init__(self, plus):
-        super().__init__()
-        self.n, self.plus = 4, plus
+        super().__init__(4)
+        self.plus = plus
 
     def _value(self, mask):
         return float(mask.bit_count())
@@ -67,7 +67,7 @@ def test_based_query_follows_the_value_rule(bad):
 # so a hang fails the test instead of stalling the suite
 NEGATIVE_MASK = """
 import twinopt as t
-for query in (lambda: t.CallableOracle(lambda mask: -1.0).evaluate(-3), lambda: t.members(-3)):
+for query in (lambda: t.CallableOracle(lambda mask: -1.0, 4).evaluate(-3), lambda: t.members(-3)):
     try:
         query()
     except t.ContractViolation as exc:
@@ -86,7 +86,7 @@ def test_a_negative_mask_is_rejected_not_looped_over():
 @pytest.mark.parametrize("mask", [-1, -3, -(1 << 70)])
 def test_negative_masks_are_no_sets(mask):
     error = re.escape(f"a set mask must be >= 0, not {mask}")
-    oracles = [CallableOracle(float), t.ModularObjective([1.0, 2.0]), _BasedCount(0.0)]
+    oracles = [CallableOracle(float, 2), t.ModularObjective([1.0, 2.0]), _BasedCount(0.0)]
     for f in oracles:
         with pytest.raises(t.ContractViolation, match=error):
             f.evaluate(mask)
@@ -107,7 +107,7 @@ def test_submodularity_check_accepts_weighted_cut():
 
 def test_submodularity_check_rejects_supermodular_square():
     ground = t.GroundSet(4)
-    f = CallableOracle(lambda mask: float(mask.bit_count() ** 2))
+    f = CallableOracle(lambda mask: float(mask.bit_count() ** 2), 4)
     ok, witness = t.submodularity_check(f, ground, trials=200, seed=1)
     assert not ok
     assert witness["lhs"] > witness["rhs"]

@@ -27,7 +27,6 @@ from twinopt.objectives import (
     load_costs,
     load_edge_list,
     load_rr_sets,
-    pack_seed_id,
     save_costs,
     save_edge_list,
     save_rr_sets,
@@ -46,7 +45,7 @@ def test_cut_value_empty_and_full_are_zero():
     graph, ground, oracle, _ = helpers.cut_instance(7, seed=11)
     f = oracle()
     assert f.evaluate(0) == 0.0
-    assert f.evaluate(ground.full_mask) == pytest.approx(0.0)
+    assert f.evaluate((1 << ground.n) - 1) == pytest.approx(0.0)
 
 
 def test_cut_value_matches_edge_scan():
@@ -128,7 +127,7 @@ def test_sparse_cut_values_are_within_the_error_bound(case, draws):
 def test_marketing_and_callable_oracles_state_no_error_bound():
     marketing = t.MarketingObjective([t.RRSetCollection(2, [0b01])], [0.5, 1.0])
     assert marketing.value_error is None
-    assert t.CallableOracle(lambda mask: 1.0).value_error is None
+    assert t.CallableOracle(lambda mask: 1.0, 2).value_error is None
 
 
 def _edge_loop_adjacency(n, edges):
@@ -418,7 +417,7 @@ def test_cut_is_non_monotone_constructively():
     graph, ground, oracle, _ = helpers.cut_instance(8, seed=2, p_edge=0.8)
     f = oracle()
     v = graph.edges[0][0]
-    assert f.evaluate(1 << v) > f.evaluate(ground.full_mask)
+    assert f.evaluate(1 << v) > f.evaluate((1 << ground.n) - 1)
 
 
 def test_rr_estimate_single_covering_set():
@@ -465,7 +464,8 @@ def test_marketing_single_seed_formula():
     z = [t.RRSetCollection(4, [0b0001]), t.RRSetCollection(4, [0b0010])]
     costs = [0.5, 0.5, 0.5, 0.5]
     f = t.MarketingObjective(z, costs)  # default B = m * sum(costs) = 4.0
-    e = pack_seed_id(0, 0, m=2)
+    u, i, m = 0, 0, 2
+    e = u * m + i  # seed node 0 for product 0
     assert f.evaluate(1 << e) == pytest.approx(4.0 + (4.0 - 0.5))
 
 
@@ -526,8 +526,8 @@ def marketing_instances(draw):
     budget = draw(st.one_of(st.none(), st.floats(0, 10).map(lambda x: m * core.left_sum(costs) + x)))
     f = t.MarketingObjective(collections, costs, budget)
     masks = draw(st.lists(st.integers(0, (1 << (n * m)) - 1), min_size=1, max_size=20))
-    masks += [0, 1 << pack_seed_id(cold, 0, m), (1 << pack_seed_id(cold, 0, m)) | masks[-1]]
-    masks += [1 << pack_seed_id(n - 1, i, m) for i in range(m)]
+    masks += [0, 1 << cold * m, (1 << cold * m) | masks[-1]]  # node cold, product 0
+    masks += [1 << (n - 1) * m + i for i in range(m)]
     return f, masks
 
 
@@ -601,8 +601,7 @@ def test_based_marketing_query_rejects_ids_past_the_range(case):
 def contract_cases(draw, kind):
     """An oracle of one kind, a set s and an id e outside s: a cut on
     either path (`cut_cases`), marketing (`marketing_instances`), modular,
-    coverage, or a `CallableOracle`, which states no n (e and s below
-    2**80)."""
+    coverage, or a `CallableOracle`."""
     if kind in ("list cut", "sparse cut"):
         return draw(cut_cases(sparse=kind == "sparse cut"))
     if kind == "marketing":
@@ -615,10 +614,9 @@ def contract_cases(draw, kind):
         weights = draw(st.lists(st.floats(0, 5), min_size=items, max_size=items))
         f = helpers.CoverageObjective(weights, covers)
     else:
-        f = t.CallableOracle(lambda mask: mask.bit_count() / 3)
-    n = 80 if f.n is None else f.n
-    e = draw(st.integers(0, n - 1))
-    return f, draw(st.integers(0, (1 << n) - 1)) & ~(1 << e), e
+        f = t.CallableOracle(lambda mask: mask.bit_count() / 3, draw(st.integers(1, 80)))
+    e = draw(st.integers(0, f.n - 1))
+    return f, draw(st.integers(0, (1 << f.n) - 1)) & ~(1 << e), e
 
 
 def _snapshot(base):
@@ -656,19 +654,17 @@ def test_every_oracle_keeps_the_query_contract(kind, data):
 @given(st.data())
 def test_every_oracle_rejects_bad_ids_and_sets(kind, data):
     """`evaluate` on a base or a mask and `grow` reject an e already in
-    the set, -1 and, on an oracle that states n, n itself; `evaluate` and
+    the set, -1 and n; `evaluate` and
     `base` reject a negative set and a set with an id at or past n.  A
     rejected query counts one; a rejected base or growth counts none.
     Each rejection leaves the base as it was."""
     f, s, e = data.draw(contract_cases(kind))
     base, bigger = f.base(s), f.base(s | 1 << e)
     before = _snapshot(base), _snapshot(bigger)
-    bad_ids = [(bigger, e, "already in the set"), (s | 1 << e, e, "already in the set"),
-               (base, -1, "outside the ground set"), (s, -1, "outside the ground set")]
-    bad_sets = [-1, -(1 << 90) | s]
-    if f.n is not None:
-        bad_ids += [(base, f.n, "outside the ground set"), (s, f.n, "outside the ground set")]
-        bad_sets += [s | 1 << f.n, s | 1 << e | 1 << (f.n + 3), 1 << f.n]
+    outside = f"element {{}} outside the ground set of size {f.n}"
+    bad_ids = [(bigger, e, "already in the set"), (s | 1 << e, e, "already in the set")]
+    bad_ids += [(at, bad, re.escape(outside.format(bad))) for at in (base, s) for bad in (-1, f.n)]
+    bad_sets = [-1, -(1 << 90) | s, s | 1 << f.n, s | 1 << e | 1 << (f.n + 3), 1 << f.n]
     for at, bad, error in bad_ids:
         q0 = f.query_count
         with pytest.raises(t.ContractViolation, match=error):
@@ -687,13 +683,24 @@ def test_every_oracle_rejects_bad_ids_and_sets(kind, data):
     assert _same_base(_snapshot(base), before[0]) and _same_base(_snapshot(bigger), before[1])
 
 
-@given(st.integers(0, 2**80), st.integers(0, 80))
-def test_callable_oracle_accepts_any_id_and_its_base_is_the_mask(s, e):
-    f = t.CallableOracle(lambda mask: mask.bit_count() / 3)
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1),
+                                                      st.integers(0, n - 1))))
+def test_callable_oracle_states_its_size_and_its_base_is_the_mask(case):
+    """A CallableOracle takes ids 0..n-1 only: its function is never
+    called on id n, 1 << 100 or a set holding them."""
+    n, s, e = case
+    asked = []
+    f = t.CallableOracle(lambda mask: asked.append(mask) or mask.bit_count() / 3, n)
     s &= ~(1 << e)
-    assert f.n is None and f.base(s) == s and f.grow(s, e) == s | 1 << e
+    assert f.n == n and f.base(s) == s and f.grow(s, e) == s | 1 << e
     assert f.evaluate(s, e) == f.evaluate(s | 1 << e) == (s | 1 << e).bit_count() / 3
-    assert f.query_count == 2
+    for bad in (n, 1 << 100):
+        with pytest.raises(t.ContractViolation, match=f"element {bad} outside the ground set of "
+                                                      f"size {n}"):
+            f.evaluate(s, bad)
+    with pytest.raises(t.ContractViolation, match=f"at or past the ground size {n}"):
+        f.evaluate(s | 1 << n)
+    assert f.query_count == 5 and asked == [s | 1 << e] * 2
 
 
 def test_marketing_rejects_a_product_without_rr_sets(monkeypatch):

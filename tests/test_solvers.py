@@ -117,7 +117,7 @@ def test_classic_greedy_modular_exact_under_uniform():
 def _shrinking(n):
     """f(S) = n**2 - |S|**2 over 0..n-1: non-negative and submodular, and
     every marginal gain is negative."""
-    return t.CallableOracle(lambda mask: float(n * n - mask.bit_count() ** 2))
+    return t.CallableOracle(lambda mask: float(n * n - mask.bit_count() ** 2), n)
 
 
 def test_classic_greedy_stops_on_all_negative():
@@ -278,6 +278,23 @@ def test_twin_greedy_checks_no_side_that_is_a_base():
             == report.to_dict(include_timing=False))
 
 
+def test_twin_greedy_fast_checks_no_side_that_is_a_base():
+    """As twin_greedy: the elements still due on a side that is full are
+    dropped from it unchecked, with the same run as when every one is
+    checked."""
+    f, ground = t.ModularObjective([float(e % 5 + 1) for e in range(12)]), t.GroundSet(12)
+    c = _SizeRecordingSeedMatroid(6, 2, 3)
+    report = t.twin_greedy_fast(f, c, ground, 0.1)
+    assert report.s1.bit_count() == report.s2.bit_count() == 3
+    assert c.asked and max(c.asked) < 3 and report.independence_checks == len(c.asked)
+    hidden = _unstated(_SizeRecordingSeedMatroid(6, 2, 3))
+    checked = t.twin_greedy_fast(f, hidden, ground, 0.1).to_dict(include_timing=False)
+    assert max(hidden.asked) == 3  # a run that is not told the size does ask
+    assert checked.pop("independence_checks") > report.independence_checks
+    assert checked == {k: v for k, v in report.to_dict(include_timing=False).items()
+                       if k != "independence_checks"}
+
+
 def test_exact_max_prunes_by_the_bound():
     """On certify-sized cuts the bound skips most of the walk."""
     for seed in (0, 1):
@@ -295,10 +312,10 @@ def test_exact_max_of_a_non_submodular_callable_is_the_true_optimum():
     def three(mask):
         return float(mask.bit_count() == 3)
 
-    f, ground = t.CallableOracle(three), t.GroundSet(6)
+    f, ground = t.CallableOracle(three, 6), t.GroundSet(6)
     assert f.value_error is None
     res = t.exact_max(f, t.UniformMatroid(6, 4), ground)
-    ref = helpers.exact_max_unpruned(t.CallableOracle(three), t.UniformMatroid(6, 4), ground)
+    ref = helpers.exact_max_unpruned(t.CallableOracle(three, 6), t.UniformMatroid(6, 4), ground)
     assert (res.solution, res.value) == (0b111, 1.0)
     assert res.sets_visited == ref.sets_visited == f.query_count
 
@@ -532,11 +549,11 @@ def test_twin_greedy_fast_walks_a_ladder_of_empty_passes():
 # pass counts, tau_min and query counts are in the digest; the check
 # count is pinned beside it.
 TWINFAST_PINS = {
-    0: ("521e5a717d303dc289a6d823f77504972e2159a90fe024ed4d62fedaa55d0953", 27),
+    0: ("521e5a717d303dc289a6d823f77504972e2159a90fe024ed4d62fedaa55d0953", 23),
     1: ("449babad0d96f02c0269cc6a230d851bcee69793badf654f07aacc61a66023aa", 30),
     2: ("5d4d3ff23392a9b9e8f011f4ba68b3593140dbc8b22c2e6d1586e8ae7a263760", 36),
     3: ("9152d5d2efff99ab15a467a9bed00b4f94320c2c4149128deab44cba5f8cae3e", 49),
-    4: ("6d299ff01aea9b4a87e5a77386271ae6f5a6a584ed59c9505d07a29d68a89fb4", 47),
+    4: ("6d299ff01aea9b4a87e5a77386271ae6f5a6a584ed59c9505d07a29d68a89fb4", 46),
     5: ("e8a8763bc37699369ab82310c56be34c05ba5e19e588552dcf645d25c5f6bae0", 48),
     6: ("63373d3c3a89114dc6596d53d0b1e5017d24971973ffc9e0cede154762d6aa3a", 50),
     7: ("6e64139d11d5662abd7d49744d31aa7504df50ee43c663ad73c50e5a8e9fdf8a", 57),
@@ -552,7 +569,7 @@ TWINFAST_PINS = {
     17: ("efd10edff95da1ada066494d8634f08014df5b2ccf82aaad718dee176c027d51", 34),
     18: ("1efe0716872cedc65541f39d594d6fde69b90b81822f17d1a2ab6a9258e2f281", 44),
     19: ("51ce11d753a4f31f10f1c7bc8c3931756096f198d348a3edc9a7b6e57c86bd63", 38),
-    "gap": ("29cdec63ca5f9e03353f5ffeb59f8f34c91cd6e86f9e2acd09cc62ff02acee96", 48),
+    "gap": ("29cdec63ca5f9e03353f5ffeb59f8f34c91cd6e86f9e2acd09cc62ff02acee96", 44),
 }
 
 
@@ -576,12 +593,12 @@ def test_twin_greedy_fast_reevaluated_gain_on_a_later_bar():
     table = {0: 0.0, 0b001: 486.0, 0b010: 486.0, 0b100: 400.0,
              0b011: 486.0, 0b101: 630.0, 0b110: 586.0}
     args = (t.UniformMatroid(3, 2), t.GroundSet(3), 0.5)
-    report = t.twin_greedy_fast(t.CallableOracle(table.__getitem__), *args)
+    report = t.twin_greedy_fast(t.CallableOracle(table.__getitem__, 3), *args)
     assert [(ent.element, ent.side, ent.gain, ent.threshold) for ent in report.log.entries] == [
         (0, 1, 486.0, 486.0), (1, 2, 486.0, 486.0), (2, 1, 144.0, 144.0)]
     assert report.parameters["passes"] == 5
     _assert_matches_rescan(report,
-                           _rescan_twin_greedy_fast(t.CallableOracle(table.__getitem__), *args))
+                           _rescan_twin_greedy_fast(t.CallableOracle(table.__getitem__, 3), *args))
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -634,7 +651,7 @@ def _bad_oracle(size, bad):
         asked.append(mask)
         return bad if mask.bit_count() == size else float(sum(6 - e for e in t.members(mask)))
 
-    return t.CallableOracle(value), asked
+    return t.CallableOracle(value, 6), asked
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0], ids=repr)
@@ -666,18 +683,19 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_every_entry_point_rejects_sizes_that_differ(entry):
-    """Each of the three sizes differing from the other two, as a cut on 10
-    nodes under a 10-element matroid over GroundSet(6), is rejected before
-    any query or check, not solved as a smaller sub-problem.  (A
-    CallableOracle states no size: the value-rule tests above run it
-    through every entry point.)"""
+    """Each of the three sizes differing from the other two, as a cut or a
+    CallableOracle on 10 nodes under a 10-element matroid over
+    GroundSet(6), is rejected before any query or check, not solved as a
+    smaller sub-problem."""
     for n_f, n_c, n_g in [(10, 10, 6), (10, 6, 10), (6, 10, 10)]:
-        f = t.CutMonitorObjective(t.WeightedGraph(n_f, [(0, 1, 1.0), (1, 5, 0.5), (5, 2, 2.0)]))
-        c = t.UniformMatroid(n_c, 3)
-        with pytest.raises(t.ContractViolation, match=f"ground set, constraint and oracle "
-                                                      f"sizes differ: {n_g}, {n_c} and {n_f}"):
-            entry(f, c, t.GroundSet(n_g))
-        assert f.query_count == c.check_count == 0
+        for f in (t.CutMonitorObjective(t.WeightedGraph(n_f, [(0, 1, 1.0), (1, 5, 0.5),
+                                                              (5, 2, 2.0)])),
+                  t.CallableOracle(float, n_f)):
+            c = t.UniformMatroid(n_c, 3)
+            with pytest.raises(t.ContractViolation, match=f"ground set, constraint and oracle "
+                                                          f"sizes differ: {n_g}, {n_c} and {n_f}"):
+                entry(f, c, t.GroundSet(n_g))
+            assert f.query_count == c.check_count == 0
 
 
 def test_solve_dispatcher():
@@ -761,7 +779,7 @@ def _tracer_cases():
         "marketing": marketing,
         "modular": lambda: (t.ModularObjective([(7 * e) % 5 + 0.5 for e in range(12)]),
                             t.UniformMatroid(12, 4), t.GroundSet(12)),
-        "callable": lambda: (t.CallableOracle(lambda mask: math.sqrt(mask.bit_count() + mask % 7)),
+        "callable": lambda: (t.CallableOracle(lambda mask: math.sqrt(mask.bit_count() + mask % 7), 10),
                              t.UniformMatroid(10, 3), t.GroundSet(10)),
     }
 
