@@ -10,11 +10,13 @@ states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
 
-from .core import ContractViolation, GroundSet, IndependenceOracle, members, read_dense, write_rows
+from .core import (ContractViolation, GroundSet, IndependenceOracle, check_int, members,
+                   read_dense, write_rows)
 
 
 class UniformMatroid(IndependenceOracle):
@@ -22,8 +24,7 @@ class UniformMatroid(IndependenceOracle):
 
     def __init__(self, n: int, k: int):
         super().__init__(n)
-        if k < 0:
-            raise ContractViolation(f"uniform matroid needs k >= 0, got {k}")
+        check_int(k, "k", "uniform matroid")
         self.k = k
 
     @property
@@ -45,15 +46,16 @@ class PartitionMatroid(IndependenceOracle):
 
     def __init__(self, part_of, cap: int):
         super().__init__(len(part_of))
-        if cap < 0:
-            raise ContractViolation(f"partition matroid needs cap >= 0, got {cap}")
+        check_int(cap, "cap", "partition matroid")
         index = {p: i for i, p in enumerate(sorted(set(part_of)))}  # any labels -> 0..h-1
         self.part_of = [index[p] for p in part_of]
         self.cap = cap
         self.h = len(index)
 
-    @property
+    @functools.cached_property
     def base_size(self) -> int:
+        # summed once, on the first read: a constituent of an intersection
+        # of two or more is never asked, so it is never counted
         return sum(min(self.cap, size) for size in Counter(self.part_of).values())
 
     def empty_state(self):
@@ -76,8 +78,9 @@ class SeedMatroid(IndependenceOracle):
     """
 
     def __init__(self, n_nodes: int, m: int, k: int):
-        if n_nodes < 0 or m < 1 or k < 0:
-            raise ContractViolation(f"seed matroid needs |V|, k >= 0 and m >= 1, got {n_nodes, m, k}")
+        check_int(n_nodes, "|V|", "seed matroid")
+        check_int(m, "m", "seed matroid", 1)
+        check_int(k, "k", "seed matroid")
         super().__init__(n_nodes * m)
         self.n_nodes = n_nodes
         self.m = m

@@ -85,8 +85,7 @@ class GroundSet:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ContractViolation(f"ground size must be >= 0, got {self.n}")
+        check_int(self.n, "size n", "a ground set")
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +263,14 @@ def write_rows(path, rows, header: dict[str, int] | None = None) -> None:
 # oracle contracts
 
 
+def check_int(value, name: str, owner: str, least: int = 0) -> None:
+    """Raise ContractViolation unless `value`, the `name` of `owner`, is an
+    int >= least: a size, bound or capacity that a float, a string or a
+    negative number would only break later, in a shift or a comparison."""
+    if not (isinstance(value, int) and value >= least):
+        raise ContractViolation(f"{owner} needs an int {name} >= {least}, got {value!r}")
+
+
 def _rejected(mask: int, n: int, e: int | None = None) -> ContractViolation:
     """The error for a refused query, base or check: the set `mask`, or
     `mask` plus the id e, is no set of ids in 0..n-1.  `_rejected(0, n, e)`
@@ -281,9 +288,10 @@ class ValueOracle:
     """Set-function evaluator with a per-instance query counter.
 
     This is the one statement of the query contract every objective
-    follows.  Every oracle states its ground size: a subclass passes n to
-    `__init__` and implements `_value(mask)`, the value of a set of ids
-    below n.  `evaluate(s, e)` is the only counted entry point: it
+    follows.  Every oracle states its ground size: a subclass passes n,
+    an int >= 0 (else ContractViolation), to `__init__` and implements
+    `_value(mask)`, the value of a set of ids below n.
+    `evaluate(s, e)` is the only counted entry point: it
     returns f(s), or f(s + {e}) when an id e is given, and one call is
     one query, so a marginal gain against a caller-cached value costs
     exactly one query.  Oracles hold no value caches of their own;
@@ -344,6 +352,7 @@ class ValueOracle:
     value_error: float | None = None
 
     def __init__(self, n: int):
+        check_int(n, "ground size n", "a value oracle")
         self.n = n
         self.query_count = 0
 
@@ -412,7 +421,8 @@ class CallableOracle(ValueOracle):
 
 
 class IndependenceOracle:
-    """Membership test for a hereditary independence family over 0..n-1.
+    """Membership test for a hereditary independence family over 0..n-1,
+    n an int >= 0 (else ContractViolation).
 
     A constraint states its family once, incrementally: `empty_state()`
     is the state of the empty set, `_can_add(state, e)` says whether the
@@ -441,6 +451,7 @@ class IndependenceOracle:
     base_size: int | None = None
 
     def __init__(self, n: int):
+        check_int(n, "ground size n", "an independence oracle")
         self.n = n
         self.check_count = 0
 

@@ -20,7 +20,7 @@ RNG_ID = "numpy-pcg64"
 # 64-bit words _Stream reads from the bit generator at a time
 _BLOCK = 4096
 # node pairs gen_er draws at a time, which bounds its scratch memory
-_ER_PAIRS = 1 << 20
+_ER_PAIRS = 1 << 16
 
 
 class _Stream:

@@ -8,8 +8,12 @@ is in tests/helpers.py).
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
 import sys
 from bisect import bisect
 from dataclasses import dataclass
@@ -22,7 +26,8 @@ from .core import (MAX_HEADER_COUNT, ContractViolation, ValueOracle, bitmask, le
                    read_dense, read_fixed_columns, read_rows, sum_error, write_rows)
 
 # below this many nodes a Python adjacency scan beats the sparse matvec;
-# SciPy is imported by the first cut built at or above it
+# the first cut built at or above it loads SciPy's CSR kernels
+# (`_sparsetools`), and no other part of SciPy
 _SPARSE_MIN_NODES = 192
 
 # edge rows save_edge_list turns into Python objects at a time
@@ -214,6 +219,56 @@ def load_edge_list(path, directed: bool | None = None) -> WeightedGraph:
     return WeightedGraph.from_columns(n_nodes, u, v, w, directed)
 
 
+@functools.cache
+def _sparsetools():
+    """SciPy's compiled CSR module, `scipy/sparse/_sparsetools`, loaded on
+    its own, once per process: `import scipy.sparse` would load some 325
+    modules to reach it (~21 MB and ~150 ms on a 2-core Xeon VM).
+    `find_spec` locates the scipy package without running any of its
+    code.  The module registers under its own name, so a later
+    `import scipy.sparse` takes this copy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError(f"a cut of {_SPARSE_MIN_NODES} nodes or more needs SciPy's CSR kernels, "
+                          "and SciPy is not installed")
+    stem = os.path.join(spec.submodule_search_locations[0], "sparse", "_sparsetools")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            name = "scipy.sparse._sparsetools"
+            loader = importlib.machinery.ExtensionFileLoader(name, stem + suffix)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"SciPy's CSR kernels are missing: no {stem}"
+                      f"{{{','.join(importlib.machinery.EXTENSION_SUFFIXES)}}}")
+
+
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """indptr, indices and data of the symmetric adjacency, as
+    `scipy.sparse.csr_matrix((w2, (rows, cols)), shape=(n, n))` builds
+    them from both orientations of each edge in turn (u v, then v u),
+    through the same kernel calls: `coo_tocsr`, and unless the result
+    is canonical, a sort of the rows if they are unsorted, then
+    `csr_sum_duplicates` and a trim to indptr[-1].  The entry order fixes
+    the order in which parallel edges are summed, and ids are int32
+    where they fit, as there.  The kernels do not check the ids: they
+    must lie in 0..n-1, as a validated graph's do."""
+    kernels = _sparsetools()
+    nnz = 2 * len(w)
+    idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    rows, cols = np.empty(nnz, idx), np.empty(nnz, idx)
+    rows[0::2], rows[1::2], cols[0::2], cols[1::2] = u, v, v, u
+    indptr, indices, data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    kernels.coo_tocsr(n, n, nnz, rows, cols, w.repeat(2), indptr, indices, data)
+    if not kernels.csr_has_canonical_format(n, indptr, indices):
+        if not kernels.csr_has_sorted_indices(n, indptr, indices):
+            kernels.csr_sort_indices(n, indptr, indices, data)
+        kernels.csr_sum_duplicates(n, n, indptr, indices, data)
+        nnz = indptr[-1]
+        indices, data = indices[:nnz].copy(), data[:nnz].copy()
+    return indptr, indices, data
+
+
 class _CutBase(NamedTuple):
     """Work behind the sparse cut value of one set: its indicator, the
     complement indicator x = 1 - ind, y = A @ x, every row summed by the
@@ -234,7 +289,10 @@ class CutMonitorObjective(ValueOracle):
     f(V)=0.
 
     From _SPARSE_MIN_NODES nodes on, f(S) = ind' (A (1 - ind)) over the
-    symmetric CSR adjacency A, and a `_CutBase` of S makes f(S + e) cost
+    symmetric CSR adjacency A.  A is three plain arrays (indptr, indices,
+    data), built by `_symmetric_csr` and multiplied by `csr_matvec`, the
+    kernels `csr_matrix` calls, loaded without the rest of scipy.sparse
+    (`_sparsetools`).  A `_CutBase` of S makes f(S + e) cost
     only the rows of A @ x that read x[e] and reach the dot: the rows in
     S + e adjacent to e.  They are recomputed by the same kernel, each
     row's products added in the same order, and the full-length dot is
@@ -265,20 +323,12 @@ class CutMonitorObjective(ValueOracle):
         self.value_error = sum_error(self.n + 2 * len(graph.w), 2.0 * float(total))
         self._sparse = self.n >= _SPARSE_MIN_NODES
         if self._sparse:
-            import scipy.sparse as sp
-            from scipy.sparse._sparsetools import csr_matvec  # the row kernel behind csr_matrix.dot
-
-            self._matvec = csr_matvec
-            ends = np.stack([graph.u, graph.v], axis=1)
-            # both orientations of each edge in turn: u v, v u, as COO entries
-            self._adj = sp.csr_matrix(
-                (graph.w.repeat(2), (ends.ravel(), ends[:, ::-1].ravel())),
-                shape=(self.n, self.n),
-            )
+            self._indptr, self._indices, self._data = _symmetric_csr(self.n, graph.u, graph.v,
+                                                                     graph.w)
             # row u's [start, end) in the CSR arrays, for the row kernel, and
             # as a list, whose items slice `indices` without NumPy scalars
-            self._spans = np.stack([self._adj.indptr[:-1], self._adj.indptr[1:]], axis=1)
-            self._indptr = self._adj.indptr.tolist()
+            self._spans = np.stack([self._indptr[:-1], self._indptr[1:]], axis=1)
+            self._starts = self._indptr.tolist()
             self._nbytes = (self.n + 7) // 8
         else:
             # undirected: each node's neighbours as (1 << v, w), in adjacency order
@@ -306,8 +356,8 @@ class CutMonitorObjective(ValueOracle):
         ind = bits.astype(np.float64)
         x = 1.0 - ind
         y = np.zeros(self.n)
-        adj = self._adj
-        self._matvec(self.n, self.n, adj.indptr, adj.indices, adj.data, x, y)  # as adj.dot(x)
+        # y = A @ x, by the row kernel behind csr_matrix.dot
+        _sparsetools().csr_matvec(self.n, self.n, self._indptr, self._indices, self._data, x, y)
         return _CutBase(mask, ind, x, y, bits.view(bool))
 
     def _grow(self, prev: _CutBase, e: int) -> _CutBase:
@@ -333,7 +383,7 @@ class CutMonitorObjective(ValueOracle):
 
     def _neighbours(self, e: int) -> np.ndarray:
         """Column ids of row e, ascending: the rows whose sums read x[e]."""
-        return self._adj.indices[self._indptr[e]:self._indptr[e + 1]]
+        return self._indices[self._starts[e]:self._starts[e + 1]]
 
     def _redo_rows(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Set y[u] = (A @ x)[u] for the ascending rows u, each summed as
@@ -347,7 +397,7 @@ class CutMonitorObjective(ValueOracle):
         down = rows[::-1]
         ptr = self._spans.take(down, axis=0).ravel()
         out = np.zeros(len(ptr) - 1)
-        self._matvec(len(out), self.n, ptr, self._adj.indices, self._adj.data, x, out)
+        _sparsetools().csr_matvec(len(out), self.n, ptr, self._indices, self._data, x, out)
         y.put(down, out[0::2])
 
 

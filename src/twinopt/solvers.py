@@ -324,11 +324,13 @@ class ExactResult:
     """An optimal independent set, the first maximum of `exact_max`'s
     depth-first order, found by a search that skips only subtrees the
     submodular bound shows cannot beat it.  `sets_visited` counts the
-    sets it evaluated, f(empty) included: its value queries."""
+    sets it evaluated, f(empty) included: its value queries.
+    `empty_value` is f(empty), the first of them."""
 
     solution: int
     value: float
     sets_visited: int
+    empty_value: float
 
 
 def exact_max(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet) -> ExactResult:
@@ -373,7 +375,8 @@ def exact_max(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet)
     n = ground.n
     if n > 20:
         raise ContractViolation("exact search needs n <= 20")
-    best = [0, _empty_value(f, constraint, ground), 1]
+    f_empty = _empty_value(f, constraint, ground)
+    best = [0, f_empty, 1]
     delta = f.value_error
     full = constraint.base_size
     rho = [1.0 + (k + 4) * 2.0**-52 for k in range(n)]
@@ -396,8 +399,8 @@ def exact_max(f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet)
             if k and (vals[i] + tail[i]) * rho[k] + slack[k] > best[1]:
                 walk(grown, constraint.add(state, e), vals[i], kids[i + 1:])
 
-    walk(0, constraint.empty_state(), best[1], range(n))
-    return ExactResult(solution=best[0], value=best[1], sets_visited=best[2])
+    walk(0, constraint.empty_state(), f_empty, range(n))
+    return ExactResult(solution=best[0], value=best[1], sets_visited=best[2], empty_value=f_empty)
 
 
 def solve(name: str, f: ValueOracle, constraint: IndependenceOracle, ground: GroundSet, *,
@@ -409,8 +412,7 @@ def solve(name: str, f: ValueOracle, constraint: IndependenceOracle, ground: Gro
     the inclusion probability `q` and the rng `seed`, None read as 0),
     `greedy` (classic_greedy) and `exact` (exact_max).
     The `exact` report carries the optimum as side 1, an empty side 2 and
-    an empty log; its query count includes one f(empty) evaluation made
-    before the search.
+    an empty log; its value queries are the search's, `sets_visited`.
     """
     if name == "twin":
         return twin_greedy(f, constraint, ground)
@@ -424,8 +426,7 @@ def solve(name: str, f: ValueOracle, constraint: IndependenceOracle, ground: Gro
         return classic_greedy(f, constraint, ground)
     if name == "exact":
         start = _start(f, constraint)
-        f_empty = _empty_value(f, constraint, ground)
         res = exact_max(f, constraint, ground)
-        return _report("exact", ground, {}, [res.solution, 0], [res.value, f_empty],
+        return _report("exact", ground, {}, [res.solution, 0], [res.value, res.empty_value],
                        InsertionLog(), f, constraint, start)
     raise ParameterError(f"unknown algorithm {name!r}")

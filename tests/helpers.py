@@ -282,7 +282,8 @@ def exact_max_unpruned(f, constraint, ground):
     the branch-and-bound search must match in solution and value while
     making no more queries."""
     n = ground.n
-    best = [0, f.evaluate(0), 1]
+    f_empty = f.evaluate(0)
+    best = [0, f_empty, 1]
 
     def walk(mask, state, start):
         for e in range(start, n):
@@ -296,4 +297,5 @@ def exact_max_unpruned(f, constraint, ground):
             walk(grown, constraint.add(state, e), e + 1)
 
     walk(0, constraint.empty_state(), 0)
-    return t.ExactResult(solution=best[0], value=best[1], sets_visited=best[2])
+    return t.ExactResult(solution=best[0], value=best[1], sets_visited=best[2],
+                         empty_value=f_empty)

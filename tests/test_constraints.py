@@ -1,11 +1,13 @@
 import itertools
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinopt as t
+import twinopt.constraints as constraints
 from twinopt.constraints import (
     greedy_base_size,
     hereditary_check,
@@ -174,6 +176,16 @@ def test_stated_base_size_at_the_edges(name):
     _assert_states_its_rank(constraint, reversed(range(constraint.n)))
 
 
+def test_partition_base_size_is_computed_once():
+    """The partition's base size is summed over its parts on the first
+    read, and never again; building the matroid counts nothing."""
+    with mock.patch.object(constraints, "Counter", wraps=constraints.Counter) as counter:
+        constraint = t.PartitionMatroid(t.assign_groups(1000, 5, 44), 50)
+        assert counter.call_count == 0
+        assert constraint.base_size == constraint.base_size == t.rank(constraint, t.GroundSet(1000)) == 250
+        assert counter.call_count == 1
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_stated_base_size_is_the_greedy_base_size(data):
@@ -288,9 +300,19 @@ def test_parse_seed_config():
     lambda: t.SeedMatroid(-1, 1, 1),
     lambda: t.IntersectionSystem([]),
     lambda: t.IntersectionSystem([t.UniformMatroid(3, 1), t.UniformMatroid(4, 1)]),
+    lambda: t.UniformMatroid(-1, 2),
+    lambda: t.UniformMatroid(3, 1.5),
+    lambda: t.UniformMatroid(3.0, 1),
+    lambda: t.PartitionMatroid([0, 1], 1.5),
+    lambda: t.PartitionMatroid([0, 1], "2"),
+    lambda: t.SeedMatroid(3, 1, 1.5),
+    lambda: t.SeedMatroid(3, 1.0, 1),
+    lambda: t.SeedMatroid(2.5, 1, 1),
 ], ids=["uniform-k", "partition-cap", "seed-k", "seed-m", "seed-nodes", "intersection-empty",
-        "intersection-two-sizes"])
-def test_constructors_reject_negative_sizes(build):
+        "intersection-two-sizes", "uniform-negative-n", "uniform-float-k", "uniform-float-n",
+        "partition-float-cap", "partition-str-cap", "seed-float-k", "seed-float-m",
+        "seed-float-nodes"])
+def test_constructors_reject_negative_or_non_integer_sizes(build):
     with pytest.raises(t.ContractViolation):
         build()
 

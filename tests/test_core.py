@@ -15,9 +15,30 @@ from twinopt.core import (MAX_HEADER_COUNT, CallableOracle, LogEntry, read_dense
 import helpers
 
 
-def test_ground_set_rejects_negative_n():
-    with pytest.raises(t.ContractViolation):
-        t.GroundSet(-1)
+@pytest.mark.parametrize("n", [-1, 2.5, "3", None], ids=repr)
+def test_ground_set_rejects_an_n_that_is_not_an_int_at_least_zero(n):
+    with pytest.raises(t.ContractViolation, match=f"an int size n >= 0, got {n!r}"):
+        t.GroundSet(n)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, 2.0, "3", None], ids=repr)
+@pytest.mark.parametrize("build", [lambda n: CallableOracle(float, n),
+                                   lambda n: t.IndependenceOracle(n)], ids=["value", "independence"])
+def test_oracles_reject_a_ground_size_that_is_not_an_int_at_least_zero(build, n):
+    """The size is checked where it is given, so no query fails later in a
+    shift (a negative n) or a comparison (a float n)."""
+    with pytest.raises(t.ContractViolation, match=f"an int ground size n >= 0, got {n!r}"):
+        build(n)
+
+
+def test_callable_oracles_of_bad_sizes_no_longer_fail_inside_a_query():
+    """`CallableOracle(float, -1).evaluate(0)` ended in `ValueError:
+    negative shift count`, and `CallableOracle(float, 2.5).evaluate(1)` in
+    a TypeError; both oracles are now refused as they are built."""
+    for n in (-1, 2.5):
+        with pytest.raises(t.ContractViolation):
+            CallableOracle(float, n)
+    assert CallableOracle(float, 0).evaluate(0) == 0.0
 
 
 @given(st.sets(st.integers(0, 63)), st.sets(st.integers(0, 63)))

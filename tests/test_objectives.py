@@ -1,5 +1,6 @@
 import ast
 import copy
+import json
 import math
 import os
 import random
@@ -141,14 +142,73 @@ def _edge_loop_adjacency(n, edges):
     return sp.csr_matrix((np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(n, n))
 
 
+def _assert_adjacency_equals_the_edge_loop(n, edges):
+    f = t.CutMonitorObjective(t.WeightedGraph(n, edges))
+    ref = _edge_loop_adjacency(n, edges)
+    for got, name in ((f._indptr, "indptr"), (f._indices, "indices"), (f._data, "data")):
+        want = getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @given(sparse_edge_lists())
 def test_sparse_cut_adjacency_equals_the_edge_loop(case):
-    n, edges = case
-    adj = t.CutMonitorObjective(t.WeightedGraph(n, edges))._adj
-    ref = _edge_loop_adjacency(n, edges)
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(adj, name), getattr(ref, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    _assert_adjacency_equals_the_edge_loop(*case)
+
+
+class _KernelCalls:
+    """SciPy's CSR module, recording the name of each kernel called."""
+
+    def __init__(self):
+        self.module, self.called = objmod._sparsetools(), []
+
+    def __getattr__(self, name):
+        kernel = getattr(self.module, name)
+
+        def call(*args):
+            self.called.append(name)
+            return kernel(*args)
+        return call
+
+
+N = objmod._SPARSE_MIN_NODES
+# rows whose entries coo_tocsr leaves out of order, so the build sorts them
+# and then sums: a path given from its far end (rows of two), and a hub
+# whose 40 spokes come in shuffled order, with six more edges to spoke 7 in
+# both orientations, weighted so that the order of their sum shows (2**53
+# absorbs a 1.0 added after it, not 1.0 + 1.0 added before).  Past 16
+# entries a row is where std::sort stops sorting by insertion and may
+# reorder equal ids.
+_DESCENDING_PATH = [(u + 1, u, 0.25 + u / 7) for u in range(N - 2, -1, -1)]
+_SPOKES = random.Random(5).sample(range(1, 41), 40)
+_PARALLEL_IN_A_LONG_ROW = ([(0, v, v / 3) for v in _SPOKES[:20]]
+                           + [(0, 7, 2.0**53), (7, 0, 1.0), (0, 7, 1.0), (7, 0, 3.0)]
+                           + [(v, 0, v / 5) for v in _SPOKES[20:]]
+                           + [(7, 0, 1.0), (0, 7, 0.5)])
+
+
+@pytest.mark.parametrize("edges, merged", [(_DESCENDING_PATH, 0), (_PARALLEL_IN_A_LONG_ROW, 12)],
+                         ids=["descending", "parallel-in-a-long-row"])
+def test_unsorted_sparse_adjacency_is_sorted_and_summed_as_scipy_does(edges, merged):
+    """Edges in an order that makes the build sort its rows and sum them:
+    the CSR arrays equal SciPy's, byte for byte, and parallel entries are
+    merged (seven edges join hub and spoke 7: 12 entries fewer)."""
+    kernels = _KernelCalls()
+    with mock.patch.object(objmod, "_sparsetools", lambda: kernels):
+        _assert_adjacency_equals_the_edge_loop(N, edges)
+        f = t.CutMonitorObjective(t.WeightedGraph(N, edges))
+    assert kernels.called[:5] * 2 == kernels.called == [
+        "coo_tocsr", "csr_has_canonical_format", "csr_has_sorted_indices", "csr_sort_indices",
+        "csr_sum_duplicates"] * 2
+    assert len(f._indices) == len(f._data) == 2 * len(edges) - merged == f._indptr[-1]
+
+
+def test_a_sorted_sparse_adjacency_is_not_sorted_again():
+    """The edges of a generated ER graph come in the order their rows are
+    sorted by, and none is parallel: the build is coo_tocsr alone."""
+    kernels = _KernelCalls()
+    with mock.patch.object(objmod, "_sparsetools", lambda: kernels):
+        t.CutMonitorObjective(t.gen_er(N, 0.1, 1))
+    assert kernels.called == ["coo_tocsr", "csr_has_canonical_format"]
 
 
 def _bad_edges(n):
@@ -312,7 +372,7 @@ def test_csr_matvec_adds_into_out_and_skips_a_descending_span():
     a sparse cut calls, SciPy's private `csr_matvec`: it adds A @ x into
     `out`, and a row whose index-pointer start lies past its end adds
     nothing."""
-    matvec = t.CutMonitorObjective(t.WeightedGraph(objmod._SPARSE_MIN_NODES, []))._matvec
+    matvec = objmod._sparsetools().csr_matvec
     adj = sp.csr_matrix(np.array([[0.0, 0.5, 0.25], [2.0, 0.0, 1.0], [0.0, 4.0, 0.0]]))
     x = np.array([1.0, 2.0, 4.0])
     out = np.array([8.0, 16.0, 32.0])
@@ -325,14 +385,16 @@ def test_csr_matvec_adds_into_out_and_skips_a_descending_span():
     assert out.tolist() == [0.125 + 8.0, 0.125, 0.125 + 2.0]
 
 
-# run in a fresh interpreter, one line per step: its name and whether
-# scipy.sparse is loaded after it
-SCIPY_STEPS = """
+# run in a fresh interpreter, one line per step: its name, whether the
+# scipy.sparse package is loaded after it, and whether SciPy's CSR kernels are
+SCIPY_STEP = """
 import sys
-import twinopt as t
 
 def step(name):
-    print(name, "scipy.sparse" in sys.modules)
+    print(name, "scipy.sparse" in sys.modules, "scipy.sparse._sparsetools" in sys.modules)
+"""
+SCIPY_STEPS = SCIPY_STEP + """
+import twinopt as t
 
 def solve(f, c):
     t.solve("twinfast", f, c, t.GroundSet(f.n), epsilon=0.1)
@@ -351,32 +413,42 @@ step("modular")
 solve(t.CutMonitorObjective(t.gen_er(192, 0.1, 1)), t.UniformMatroid(192, 5))
 step("cut-192")
 """
-SCIPY_HELP = """
-import contextlib, io, runpy, sys
-sys.argv = ["twinopt", "--help"]
+# the CLI's `main`, as `python -m twinopt ARGS` runs it, with ARGS from argv
+SCIPY_CLI = SCIPY_STEP + """
+import contextlib, io, runpy
+name, sys.argv = sys.argv[1], ["twinopt"] + sys.argv[2:]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     runpy.run_module("twinopt", run_name="__main__")
-print("help", "scipy.sparse" in sys.modules)
+step(name)
 """
 
 
-def _scipy_steps(code):
+def _scipy_steps(code, *args):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    run = subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, timeout=120, check=True)
     return [line.split() for line in run.stdout.splitlines()]
 
 
-def test_scipy_loads_only_with_a_sparse_cut():
-    """Importing twinopt, `python -m twinopt --help`, and building and
-    solving a list-path cut, a marketing and a modular objective leave
-    SciPy's sparse module unloaded; the first cut on the sparse path
-    loads it."""
-    assert _scipy_steps(SCIPY_STEPS) == [["import", "False"], ["cut-191", "False"],
-                                         ["marketing", "False"], ["modular", "False"],
-                                         ["cut-192", "True"]]
-    assert _scipy_steps(SCIPY_HELP) == [["help", "False"]]
+def test_scipy_sparse_is_never_loaded_and_its_kernels_only_by_a_sparse_cut(tmp_path):
+    """No twinopt process loads the scipy.sparse package.  Importing
+    twinopt, `python -m twinopt --help`, and building and solving a
+    list-path cut, a marketing and a modular objective load none of
+    SciPy; the first cut on the sparse path, built in Python or by the
+    CLI's `run` from a saved 1000-node graph, loads its CSR kernels
+    alone."""
+    assert _scipy_steps(SCIPY_STEPS) == [
+        ["import", "False", "False"], ["cut-191", "False", "False"],
+        ["marketing", "False", "False"], ["modular", "False", "False"],
+        ["cut-192", "False", "True"]]
+    assert _scipy_steps(SCIPY_CLI, "help", "--help") == [["help", "False", "False"]]
+    graph = tmp_path / "g.txt"
+    save_edge_list(graph, t.gen_er(1000, 0.01, 3))
+    run = ["run", "--algo", "twinfast", "--epsilon", "0.1", "--objective", "cut",
+           "--graph", str(graph), "--constraint", "uniform:k=5", "--out", str(tmp_path / "r.json")]
+    assert _scipy_steps(SCIPY_CLI, "run", *run) == [["run", "False", "True"]]
+    assert json.loads((tmp_path / "r.json").read_text())["n"] == 1000
 
 
 @given(cut_cases())

@@ -347,6 +347,18 @@ def test_exact_max_keeps_the_depth_first_first_of_tied_optima(constraint):
     assert (res.solution, res.value) == (ref.solution, ref.value) == (0b1101, 0.875)
 
 
+def test_the_exact_report_counts_each_visited_set_once():
+    """`solve("exact")` makes exactly the search's queries: f(empty) is
+    the search's first, not one more before it (162 on this instance
+    when it was asked twice)."""
+    f = t.CutMonitorObjective(t.gen_er(10, 0.5, 1))
+    report = t.solve("exact", f, t.UniformMatroid(10, 3), t.GroundSet(10))
+    res = t.exact_max(t.CutMonitorObjective(t.gen_er(10, 0.5, 1)), t.UniformMatroid(10, 3),
+                      t.GroundSet(10))
+    assert report.value_queries == f.query_count == res.sets_visited == 161
+    assert (report.s_star, report.f_star, report.f_s2) == (res.solution, res.value, 0.0)
+
+
 def test_exact_max_rejects_large_ground():
     with pytest.raises(t.ContractViolation):
         t.exact_max(t.ModularObjective([1.0] * 21), t.UniformMatroid(21, 2), t.GroundSet(21))
@@ -709,7 +721,8 @@ def test_solve_dispatcher():
     assert len(report.log) == 0 and report.s2 == 0
     assert report.s1 == report.s_star == res.solution
     assert report.f_star == res.value
-    assert report.value_queries == 1 + g.query_count
+    assert report.value_queries == g.query_count == res.sets_visited
+    assert report.f_s2 == res.empty_value == g.evaluate(0)
     with pytest.raises(t.ParameterError):
         t.solve("twinfast", oracle(), constraint(), ground)
     for name in ("nope", "twin_greedy", "twin_greedy_fast", "sample_greedy",
